@@ -27,7 +27,7 @@ from .groups import (
     slot_symbols,
     solve_power_in,
 )
-from .linalg import mat_mul
+from .linalg import eliminate, mat_mul, symbolic_rank
 
 __all__ = [
     "EngineError",
@@ -227,39 +227,16 @@ def solve_absorption(sys: AbsorptionSystem) -> AbsorptionSolution:
     nonzero pivot; right sides lhs - C ride along symbolically.  Rows left
     with no unknowns are the torsion residuals.
     """
-    ctx = sys.problem.ctx
     nslots = len(sys.slots)
     nunk = len(sys.unknowns)
-    rows = [list(r) for r in sys.coeffs]
-    rhs = [sys.lhs[e] - sys.data.C[sys.slots[e]] for e in range(nslots)]
-    tmat = [[Fraction(1 if f == e else 0) for f in range(nslots)] for e in range(nslots)]
-
-    pivot_of_col: dict[int, int] = {}
-    used = [False] * nslots
-    for col in range(nunk):
-        piv = None
-        for e in range(nslots):
-            if not used[e] and rows[e][col]:
-                piv = e
-                break
-        if piv is None:
-            continue
-        used[piv] = True
-        pivot_of_col[col] = piv
-        pv = rows[piv][col]
-        if pv != 1:
-            rows[piv] = [x / pv for x in rows[piv]]
-            tmat[piv] = [x / pv for x in tmat[piv]]
-            rhs[piv] = rhs[piv] / ctx.expr(pv)
-        for e in range(nslots):
-            if e == piv:
-                continue
-            f = rows[e][col]
-            if not f:
-                continue
-            rows[e] = [x - f * y for x, y in zip(rows[e], rows[piv])]
-            tmat[e] = [x - f * y for x, y in zip(tmat[e], tmat[piv])]
-            rhs[e] = rhs[e] - ctx.expr(f) * rhs[piv]
+    # [coefficients | tracked transform | right side]
+    augmented = [
+        list(row) + [Fraction(1 if f == e else 0) for f in range(nslots)]
+        + [sys.lhs[e] - sys.data.C[sys.slots[e]]]
+        for e, row in enumerate(sys.coeffs)
+    ]
+    reduced, pivots, _ = eliminate(augmented, nunk)
+    pivot_of_col = {c: e for e, c in pivots}
 
     principal = [sys.unknowns[c] for c in sorted(pivot_of_col)]
     parametric = [u for c, u in enumerate(sys.unknowns) if c not in pivot_of_col]
@@ -267,21 +244,21 @@ def solve_absorption(sys: AbsorptionSystem) -> AbsorptionSolution:
     Q: dict[tuple[int, int], list[Fraction]] = {}
     for c, unk in enumerate(sys.unknowns):
         if c in pivot_of_col:
-            e = pivot_of_col[c]
+            row = reduced[pivot_of_col[c]]
             P[unk] = [
-                (-rows[e][c2] if c2 != c else Fraction(0)) for c2 in range(nunk)
+                (-row[c2] if c2 != c else Fraction(0)) for c2 in range(nunk)
             ]
-            Q[unk] = [-t for t in tmat[e]]
+            Q[unk] = [-t for t in row[nunk:-1]]
         else:
             P[unk] = [Fraction(1 if c2 == c else 0) for c2 in range(nunk)]
             Q[unk] = [Fraction(0)] * nslots
 
-    torsion = []
-    for e in range(nslots):
-        if used[e]:
-            continue
-        expr = rhs[e]
-        torsion.append(TorsionResidual(expr, list(tmat[e]), residual_label(expr)))
+    pivot_rows = {e for e, _ in pivots}
+    torsion = [
+        TorsionResidual(row[-1], row[nunk:-1], residual_label(row[-1]))
+        for e, row in enumerate(reduced)
+        if e not in pivot_rows
+    ]
 
     cvec = [sys.data.C[slot] for slot in sys.slots]
     bvec = list(sys.lhs) if sys.mode == "exact" else None
@@ -362,7 +339,7 @@ def classify_torsion(sol: AbsorptionSolution, rng: random.Random | None = None) 
     if grads:
         point = _generic_point_for([g for row in grads for g in row], group, rng)
         numeric = [[g.eval_at(point) for g in row] for row in grads]
-        rank = _numeric_rank(numeric)
+        rank = symbolic_rank(numeric)
         full_rank = rank == len(grads)
         if not full_rank:
             notes.append(
@@ -370,34 +347,6 @@ def classify_torsion(sol: AbsorptionSolution, rng: random.Random | None = None) 
                 "normalizing a sub-collection would expose a genuine invariant"
             )
     return TorsionClassification(kinds, const_targets, full_rank, genuine, notes)
-
-
-def _numeric_rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    work = [r[:] for r in rows]
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        for r in range(len(work)):
-            if r == rank:
-                continue
-            f = work[r][col] / pv
-            if f:
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
 
 
 def _solve_residual_for_param(e: Expr, params: Sequence[Symbol]) -> tuple[Symbol, Expr] | None:
@@ -443,7 +392,7 @@ def reduce_group(
     # condition as at the identity-neighborhood sample used in classify)
     grads = [[res.expr.diff(a) for a in p.group.params] for res in active]
     point = _generic_point_for([g for row in grads for g in row], p.group, rng)
-    if _numeric_rank([[g.eval_at(point) for g in row] for row in grads]) != len(active):
+    if symbolic_rank([[g.eval_at(point) for g in row] for row in grads]) != len(active):
         raise ReductionNeeded("infinitesimal transitivity check failed at a generic point")
 
     # normalization section

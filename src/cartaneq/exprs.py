@@ -736,8 +736,8 @@ class Expr:
     def is_zero(self) -> bool:
         return not self._num
 
-    def is_one(self) -> bool:
-        return self == self.ctx.one
+    def __bool__(self) -> bool:
+        return bool(self._num)
 
     def as_fraction(self) -> Fraction | None:
         """The exact rational value if the expression is constant, else None."""
@@ -751,6 +751,52 @@ class Expr:
 
     def depends_on(self, s: Symbol) -> bool:
         return s in self.free_symbols
+
+    # -- polynomial views ---------------------------------------------------
+
+    def _poly(self, poly: Poly) -> "Expr":
+        return Expr(self.ctx, poly, {(): _ONE})
+
+    def numerator(self) -> "Expr":
+        return self._poly(self._num)
+
+    def denominator(self) -> "Expr":
+        return self._poly(self._den)
+
+    def size(self) -> int:
+        """Number of terms of numerator and denominator together."""
+        return len(self._num) + len(self._den)
+
+    def leading_sign(self) -> int:
+        """Sign of the leading numerator coefficient in graded-lex order."""
+        if not self._num:
+            return 0
+        return 1 if _plead(self._num)[1] > 0 else -1
+
+    def coefficients(self, atom: Atom) -> dict[int, "Expr"]:
+        """The numerator as a polynomial in ``atom``: degree -> coefficient."""
+        return {d: self._poly(c) for d, c in _as_univar(self._num, atom).items()}
+
+    def linear_in(self, atoms: Sequence[Atom]) -> tuple[list["Expr"], "Expr"] | None:
+        """Split the numerator as sum(coeffs[i] * atoms[i]) + rest in one pass.
+
+        Returns (coeffs, rest) with polynomial entries, or None when the
+        numerator is not affine in ``atoms``."""
+        col = {id(a): i for i, a in enumerate(atoms)}
+        coeffs: list[Poly] = [{} for _ in atoms]
+        rest: Poly = {}
+        for m, c in self._num.items():
+            hit = None
+            for idx, (atom, e) in enumerate(m):
+                if id(atom) in col:
+                    if hit is not None or e != 1:
+                        return None
+                    hit = idx
+            if hit is None:
+                rest[m] = c
+            else:
+                coeffs[col[id(m[hit][0])]][m[:hit] + m[hit + 1:]] = c
+        return [self._poly(p) for p in coeffs], self._poly(rest)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -954,6 +1000,31 @@ class Expr:
             raise PoleError(f"denominator vanishes at the given point: {self}")
         return eval_poly(self._num) / den
 
+    def eval_partial(self, point: Mapping[Atom, Fraction | int]) -> "Expr":
+        """Bind the atoms in ``point`` to rationals, keeping the rest symbolic."""
+
+        def eval_poly(poly: Poly) -> Poly:
+            out: Poly = {}
+            for m, c in poly.items():
+                rest = []
+                for atom, e in m:
+                    if atom in point:
+                        c = c * Fraction(point[atom]) ** e
+                    else:
+                        rest.append((atom, e))
+                rm = tuple(rest)
+                s = out.get(rm, _ZERO) + c
+                if s:
+                    out[rm] = s
+                else:
+                    out.pop(rm, None)
+            return out
+
+        den = eval_poly(self._den)
+        if not den:
+            raise PoleError(f"denominator vanishes at the given point: {self}")
+        return Expr._make(self.ctx, eval_poly(self._num), den)
+
     # -- printing ----------------------------------------------------------
 
     def _poly_str(self, poly: Poly) -> str:
@@ -988,18 +1059,3 @@ class Expr:
     def __repr__(self):
         return f"Expr({self})"
 
-
-def differentiate(e: Expr, s: Symbol) -> Expr:
-    return e.diff(s)
-
-
-def substitute(e: Expr, bindings: Mapping[Symbol, Scalar]) -> Expr:
-    return e.subs(bindings)
-
-
-def is_zero(e: Expr) -> bool:
-    return e.is_zero()
-
-
-def eval_numeric(e: Expr, point: Mapping[Atom, Fraction | int]) -> Fraction:
-    return e.eval_at(point)

@@ -49,12 +49,7 @@ def slot_symbols(ctx: Context, n: int) -> list[list[Symbol]]:
 
 def normalize_sign(e: Expr) -> Expr:
     """Scale by -1 when the leading numerator coefficient is negative."""
-    from .exprs import _plead  # internal, stable
-
-    if e.is_zero():
-        return e
-    _, c = _plead(e._num)
-    return -e if c < 0 else e
+    return -e if e.leading_sign() < 0 else e
 
 
 def solve_linear_in(e: Expr, atom) -> Expr | None:
@@ -63,17 +58,10 @@ def solve_linear_in(e: Expr, atom) -> Expr | None:
     Returns the solution expression (free of the atom) or None when the
     equation is not linear in it.
     """
-    from .exprs import _as_univar, _ONE
-
-    uni = _as_univar(e._num, atom)
+    uni = e.coefficients(atom)
     if set(uni) - {0, 1} or 1 not in uni:
         return None
-    ctx = e.ctx
-    c1 = Expr(ctx, uni[1], {(): _ONE})
-    if atom in set(c1.atoms()):
-        return None
-    c0 = Expr(ctx, uni.get(0, {}), {(): _ONE})
-    return -c0 / c1
+    return -uni.get(0, e.ctx.zero) / uni[1]
 
 
 def solve_power_in(e: Expr, atom) -> Expr | None:
@@ -82,29 +70,21 @@ def solve_power_in(e: Expr, atom) -> Expr | None:
     Only pure powers with an exact rational d-th root on a constant right side
     are accepted beyond the linear case; sign is chosen positive.
     """
-    from .exprs import _as_univar, _ONE
-
-    uni = _as_univar(e._num, atom)
+    uni = e.coefficients(atom)
     degs = sorted(uni)
     if degs == [0, 1] or degs == [1]:
         return solve_linear_in(e, atom)
     if len(degs) != 2 or degs[0] != 0:
         return None
     d = degs[1]
-    ctx = e.ctx
-    cd = Expr(ctx, uni[d], {(): _ONE})
-    if atom in set(cd.atoms()):
-        return None
-    c0 = Expr(ctx, uni[0], {(): _ONE})
-    rhs = -c0 / cd
-    val = rhs.as_fraction()
+    val = (-uni[0] / uni[d]).as_fraction()
     if val is None or val < 0:
         return None
     num = _iroot(val.numerator, d)
     den = _iroot(val.denominator, d)
     if num is None or den is None:
         return None
-    return ctx.expr(Fraction(num, den))
+    return e.ctx.expr(Fraction(num, den))
 
 
 def _iroot(v: int, d: int) -> int | None:
@@ -310,35 +290,9 @@ def _random_point(g: ParamGroup, rng: random.Random) -> dict[Symbol, Fraction]:
             m = g.at_numeric(vals)
         except ExprError:
             continue
-        det = _numeric_det(m)
-        if det != 0:
+        if mat_det(m) != 0:
             return vals
     raise GroupError("could not sample a generic group element")
-
-
-def _numeric_det(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    a = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    return det
 
 
 def check_closure(g: ParamGroup, samples: int = 5, rng: random.Random | None = None) -> tuple[bool, list[str]]:
@@ -427,15 +381,13 @@ def derive_membership(g: ParamGroup) -> list[Expr] | None:
         return None
     ctx = g.ctx
     slots = slot_symbols(ctx, g.n)
-    from .exprs import Expr as _Expr, _ONE
-
     eqs = []
     for i in range(g.n):
         for j in range(g.n):
             e = g.entries[i][j].subs(plan) - ctx.expr(slots[i][j])
             if not e.is_zero():
                 # clear the denominator: only the zero set matters
-                eqs.append(normalize_sign(_Expr(ctx, e._num, {(): _ONE})))
+                eqs.append(normalize_sign(e.numerator()))
     return eqs
 
 

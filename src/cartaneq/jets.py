@@ -28,9 +28,9 @@ from .engine import (
     solve_absorption,
     target_symbol,
 )
-from .exprs import Context, Expr, ExprError, Symbol
+from .exprs import Context, Expr, ExprError, PoleError, Symbol
 from .groups import membership_equations, slot_symbols, solve_linear_in
-from .linalg import mat_inverse, mat_mul, row_reduce, symbolic_rank
+from .linalg import eliminate, identity_matrix, mat_inverse, mat_mul, row_reduce, symbolic_rank
 
 __all__ = [
     "JetError",
@@ -211,12 +211,8 @@ _COEFF_CLASS_OTHER = 3
 def _coeff_class(coeff: Expr, space: JetSpace, units: set) -> int:
     if coeff.as_fraction() is not None:
         return _COEFF_CLASS_CONSTANT
-    num_mono = len(coeff._num) == 1
-    den_mono = len(coeff._den) == 1
-    if num_mono and den_mono:
-        atoms = set(coeff.atoms())
-        if atoms <= units:
-            return _COEFF_CLASS_UNIT
+    if coeff.size() == 2 and set(coeff.atoms()) <= units:  # monomial / monomial
+        return _COEFF_CLASS_UNIT
     dep_syms = set(space._reverse)
     if not (coeff.free_symbols & dep_syms):
         return _COEFF_CLASS_SOURCE
@@ -244,7 +240,7 @@ def _solve_for_jet(
             continue
         coeff = e.diff(sym)
         cls = _coeff_class(coeff, space, units)
-        key = (-sum(J), cls, len(coeff._num), a, J)
+        key = (-sum(J), cls, coeff.numerator().size(), a, J)
         if best is None or key < best[0]:
             best = (key, (a, J), sol)
     if best is None:
@@ -305,8 +301,6 @@ def prolong_system(R: JetSystem) -> ProlongedSystem:
     once at the end through the tracked transform matrix, which is where the
     integrability conditions appear.
     """
-    from .exprs import Expr as _Expr, _ONE
-
     space = R.space
     ctx = space.ctx
     q = R.order
@@ -328,62 +322,25 @@ def prolong_system(R: JetSystem) -> ProlongedSystem:
                 tops.append((a, J))
     tops.sort()
     top_syms = [space.jet(a, J) for (a, J) in tops]
-    top_col = {id(s): c for c, s in enumerate(top_syms)}
     ncols = len(top_syms)
     top_set = set(top_syms)
 
     rows: list[list[Expr]] = []
     remainders: list[Expr] = []
     for cand in candidates:
-        den_syms = _Expr(ctx, cand._den, {(): _ONE}).free_symbols
-        if den_syms & top_set:
+        if cand.denominator().free_symbols & top_set:
             raise JetError("prolonged equation has a top-order jet in a denominator")
-        coeffs = [dict() for _ in range(ncols)]
-        rem: dict = {}
-        for mono, coeff in cand._num.items():
-            hits = [(idx, atom, e) for idx, (atom, e) in enumerate(mono) if id(atom) in top_col]
-            if not hits:
-                rem[mono] = coeff
-                continue
-            if len(hits) > 1 or hits[0][2] != 1:
-                raise JetError("prolonged equation is not linear in the top-order jets")
-            idx, atom, _ = hits[0]
-            rest = mono[:idx] + mono[idx + 1:]
-            col = top_col[id(atom)]
-            bucket = coeffs[col]
-            bucket[rest] = bucket.get(rest, 0) + coeff
-        rows.append([_Expr(ctx, c, {(): _ONE}) if c else ctx.zero for c in coeffs])
-        remainders.append(_Expr(ctx, rem, {(): _ONE}) if rem else ctx.zero)
+        split = cand.linear_in(top_syms)
+        if split is None:
+            raise JetError("prolonged equation is not linear in the top-order jets")
+        rows.append(split[0])
+        remainders.append(split[1])
 
-    tmat = [
-        [ctx.one if f == e else ctx.zero for f in range(len(rows))]
-        for e in range(len(rows))
-    ]
-    used = [False] * len(rows)
-    pivots: list[tuple[int, int]] = []
-    for col in range(ncols):
-        best = None
-        for r in range(len(rows)):
-            if used[r] or rows[r][col].is_zero():
-                continue
-            size = sum(len(e._num) + len(e._den) for e in rows[r])
-            if best is None or size < best[0]:
-                best = (size, r)
-        if best is None:
-            continue
-        piv = best[1]
-        used[piv] = True
-        pivots.append((piv, col))
-        pv = rows[piv][col]
-        if not pv.is_one():
-            rows[piv] = [e / pv for e in rows[piv]]
-            tmat[piv] = [e / pv for e in tmat[piv]]
-        for r in range(len(rows)):
-            if r == piv or rows[r][col].is_zero():
-                continue
-            f = rows[r][col]
-            rows[r] = [x - f * y if not y.is_zero() else x for x, y in zip(rows[r], rows[piv])]
-            tmat[r] = [x - f * y if not y.is_zero() else x for x, y in zip(tmat[r], tmat[piv])]
+    # [coefficients | tracked transform]
+    ident = identity_matrix(ctx, len(rows))
+    reduced, pivots, _ = eliminate([row + unit for row, unit in zip(rows, ident)], ncols, sparsest=True)
+    rows = [r[:ncols] for r in reduced]
+    tmat = [r[ncols:] for r in reduced]
 
     conditions: list[Expr] = []
     pivot_rows = {r for r, _ in pivots}
@@ -397,7 +354,7 @@ def prolong_system(R: JetSystem) -> ProlongedSystem:
         cond = R.reduce(cond)
         if not cond.is_zero():
             conditions.append(cond)
-    return ProlongedSystem(R, tops, rows, tmat, remainders, sorted(pivots, key=lambda t: t[1]), conditions)
+    return ProlongedSystem(R, tops, rows, tmat, remainders, pivots, conditions)
 
 
 def _check_genuine(space: JetSpace, cond: Expr):
@@ -536,8 +493,6 @@ def jet_characters(R: JetSystem, rng: random.Random | None = None) -> CharacterR
 def _monitor_regularity(R: JetSystem, build_rows, report: CharacterReport, rng: random.Random):
     """Character constancy probe at 3 generic points (regularity is assumed,
     not decided; a drop at a sampled point aborts with a diagnostic)."""
-    from .exprs import PoleError
-
     space = R.space
     ctx = space.ctx
     n = space.n
@@ -561,7 +516,7 @@ def _monitor_regularity(R: JetSystem, build_rows, report: CharacterReport, rng: 
         attempts += 1
         point = {a: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3)) for a in atoms}
         try:
-            numeric_rows = [[_partial_eval(e, point) for e in row] for row in rows]
+            numeric_rows = [[e.eval_partial(point) for e in row] for row in rows]
         except PoleError:
             continue
         rank = symbolic_rank(numeric_rows)
@@ -571,33 +526,6 @@ def _monitor_regularity(R: JetSystem, build_rows, report: CharacterReport, rng: 
                 f"point, {report.ranks[-1]} generically"
             )
         checked += 1
-
-
-def _partial_eval(e: Expr, point) -> Expr:
-    """Evaluate every atom bound in point, keeping the rest symbolic."""
-    from .exprs import Expr as _Expr, _ONE
-
-    ctx = e.ctx
-    num = _eval_poly_partial(ctx, e._num, point)
-    den = _eval_poly_partial(ctx, e._den, point)
-    if den.is_zero():
-        from .exprs import PoleError
-
-        raise PoleError("pole in partial evaluation")
-    return num / den
-
-
-def _eval_poly_partial(ctx, poly, point):
-    total = ctx.zero
-    for m, c in poly.items():
-        term = ctx.expr(c)
-        for atom, exp in m:
-            if atom in point:
-                term = term * ctx.expr(Fraction(point[atom]) ** exp)
-            else:
-                term = term * ctx.expr(atom) ** exp
-        total = total + term
-    return total
 
 
 @dataclass

@@ -1,18 +1,24 @@
 """Exact linear algebra over the rational expression field.
 
-Matrices are plain lists of lists of Expr.  Pivoting uses decidable symbolic
-zero-tests, so ranks are generic ranks over the function field; points where
-a pivot happens to vanish are chart restrictions, not errors.
+Matrices are plain lists of lists of Expr (or of Fraction, for sampled
+values).  Every elimination in the package goes through one Gauss-Jordan
+core, :func:`eliminate`, with two pivot rules: the first unused row with a
+nonzero entry, or the sparsest such row.  Determinant, inverse, rank and
+row reduction are thin views of it.  Zero-tests are decidable, so ranks are
+generic ranks over the function field; points where a pivot happens to
+vanish are chart restrictions, not errors.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from fractions import Fraction
+from typing import Sequence, Union
 
 from .exprs import Context, Expr, ExprError
 
 __all__ = [
     "SingularMatrixError",
+    "eliminate",
     "identity_matrix",
     "mat_mul",
     "mat_vec",
@@ -24,6 +30,7 @@ __all__ = [
 ]
 
 Matrix = list
+Entry = Union[Expr, Fraction]
 
 
 class SingularMatrixError(ExprError):
@@ -62,113 +69,83 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_det(m: Matrix) -> Expr:
-    """Determinant by elimination without row scaling."""
+def eliminate(
+    rows: Sequence[Sequence[Entry]], npivot_cols: int, *, sparsest: bool = False
+) -> tuple[list[list[Entry]], list[tuple[int, int]], list[Entry]]:
+    """Gauss-Jordan elimination over the first ``npivot_cols`` columns.
+
+    Entries are Expr or Fraction; the input is copied.  Columns are taken
+    left to right.  The pivot of a column is the first unused row with a
+    nonzero entry there (rows are never swapped), or with ``sparsest`` the
+    unused row with the fewest terms in the pivot-column block, ties going to
+    the lower row.  Pivot rows are scaled to 1 and their columns cleared
+    everywhere else; trailing columns (tracked transforms, right-hand sides)
+    ride along.  Returns the reduced rows, the (row, col) pivots in column
+    order and each pivot's value before scaling.
+    """
+    rows = [list(r) for r in rows]
+    unused = list(range(len(rows)))
+    pivots: list[tuple[int, int]] = []
+    values: list[Entry] = []
+    for col in range(npivot_cols):
+        if not unused:
+            break
+        if sparsest:
+            cands = [r for r in unused if rows[r][col]]
+            piv = min(cands, key=lambda r: sum(e.size() for e in rows[r][:npivot_cols]), default=None)
+        else:
+            piv = next((r for r in unused if rows[r][col]), None)
+        if piv is None:
+            continue
+        unused.remove(piv)
+        pivots.append((piv, col))
+        pv = rows[piv][col]
+        values.append(pv)
+        if pv != 1:
+            rows[piv] = [x / pv if x else x for x in rows[piv]]
+        prow = rows[piv]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != piv and f:
+                rows[r] = [x - f * y if y else x for x, y in zip(row, prow)]
+    return rows, pivots, values
+
+
+def mat_det(m: Matrix) -> Entry:
+    """Determinant: the pivot product, signed by the pivot-row permutation."""
     n = len(m)
-    ctx = m[0][0].ctx
-    a = [row[:] for row in m]
-    det = ctx.one
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            return ctx.zero
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det = det * a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col].is_zero():
-                continue
-            f = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] = a[r][c] - f * a[col][c]
-    return det
+    _, pivots, values = eliminate(m, n)
+    if len(pivots) < n:
+        return m[0][0] * 0  # the zero of the entry type
+    det = values[0]
+    for v in values[1:]:
+        det = det * v
+    order = [r for r, _ in pivots]
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return -det if inversions % 2 else det
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    """Exact inverse via Gauss-Jordan; raises when singular as an Expr matrix."""
+    """Exact inverse by reducing [M | I]; raises when singular as an Expr matrix."""
     n = len(m)
-    ctx = m[0][0].ctx
-    a = [row[:] + [ctx.one if i == j else ctx.zero for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular as an expression matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [entry / pv for entry in a[col]]
-        for r in range(n):
-            if r == col or a[r][col].is_zero():
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    ident = identity_matrix(m[0][0].ctx, n)
+    reduced, pivots, _ = eliminate([list(row) + unit for row, unit in zip(m, ident)], n)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular as an expression matrix")
+    inverse = [None] * n
+    for r, c in pivots:
+        inverse[c] = reduced[r][n:]
+    return inverse
 
 
-def symbolic_rank(rows: Sequence[Sequence[Expr]]) -> int:
-    """Generic rank over the function field."""
+def symbolic_rank(rows: Sequence[Sequence[Entry]]) -> int:
+    """Generic rank over the function field (or the exact rank of rationals)."""
     if not rows:
         return 0
-    work = [list(r) for r in rows]
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if not work[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for r in range(len(work)):
-            if r == rank or work[r][col].is_zero():
-                continue
-            f = work[r][col] / pv
-            for c in range(col, ncols):
-                work[r][c] = work[r][c] - f * work[rank][c]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return len(eliminate(rows, len(rows[0]))[1])
 
 
-def row_reduce(rows: list[list[Expr]], npivot_cols: int) -> tuple[list[list[Expr]], list[tuple[int, int]]]:
-    """Reduced row echelon form over the first ``npivot_cols`` columns.
-
-    Pivot search walks columns left to right and takes the first unused row
-    with a nonzero entry (rows are never swapped), which makes the
-    principal/parametric split deterministic.  Returns the transformed rows
-    and the list of (row, col) pivots; pivot rows are normalized to 1 and
-    pivot columns cleared everywhere else.  Trailing columns (right-hand
-    sides) are carried along.
-    """
-    used = [False] * len(rows)
-    pivots: list[tuple[int, int]] = []
-    for col in range(npivot_cols):
-        pivot = None
-        for r in range(len(rows)):
-            if not used[r] and not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        used[pivot] = True
-        pivots.append((pivot, col))
-        pv = rows[pivot][col]
-        rows[pivot] = [entry / pv for entry in rows[pivot]]
-        for r in range(len(rows)):
-            if r == pivot or rows[r][col].is_zero():
-                continue
-            f = rows[r][col]
-            rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot])]
-    return rows, pivots
+def row_reduce(rows: Sequence[Sequence[Expr]], npivot_cols: int) -> tuple[list[list[Expr]], list[tuple[int, int]]]:
+    """``eliminate`` with the first-row pivot rule, without the pivot values."""
+    reduced, pivots, _ = eliminate(rows, npivot_cols)
+    return reduced, pivots

@@ -100,6 +100,7 @@ def test_is_zero(ctx):
     assert ctx.parse("(x+1)*(x-1) - x^2 + 1").is_zero()
     assert ctx.parse("L_px(x,u,p) - L_xp(x,u,p)").is_zero()
     assert not ctx.parse("x - y").is_zero()
+    assert ctx.parse("x - y") and not ctx.parse("L_px(x,u,p) - L_xp(x,u,p)")
 
 
 def test_eval_numeric(ctx):
@@ -115,6 +116,26 @@ def test_eval_numeric(ctx):
     assert e.eval_at({a4: 2, a1: 1, atom: 4}) == -1
     with pytest.raises(UnboundAtomError):
         e.eval_at({a4: 2, a1: 1})
+    # partial evaluation binds the given atoms, opaque ones included
+    assert e.eval_partial({a4: 2, atom: 4}) == ctx.parse("-1/b1")
+    assert e.eval_partial({}) == e
+    with pytest.raises(PoleError):
+        ctx.parse("y/(x-1)").eval_partial({x: 1})
+
+
+def test_polynomial_views(ctx):
+    x, y = ctx.get_symbol("x"), ctx.get_symbol("y")
+    e = ctx.parse("(2*x^2*y - 3*y + 1)/(x + y)")
+    assert e.numerator() == ctx.parse("2*x^2*y - 3*y + 1")
+    assert e.denominator() == ctx.parse("x + y")
+    assert e.size() == 5
+    assert e.coefficients(x) == {2: ctx.parse("2*y"), 0: ctx.parse("1 - 3*y")}
+    assert (e.leading_sign(), (-e).leading_sign(), ctx.zero.leading_sign()) == (1, -1, 0)
+    coeffs, rest = ctx.parse("(x*z + 2*y - z^2 + 1)/z").linear_in([x, y])
+    assert coeffs == [ctx.sym("z"), ctx.expr(2)]
+    assert rest == ctx.parse("1 - z^2")
+    assert ctx.parse("x^2 + y").linear_in([x, y]) is None
+    assert ctx.parse("x*y").linear_in([x, y]) is None
 
 
 def test_rational_coefficients_and_powers(ctx):

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from cartaneq import Context
 from cartaneq.linalg import (
     SingularMatrixError,
+    eliminate,
     identity_matrix,
     mat_det,
     mat_inverse,
@@ -26,6 +29,18 @@ def test_det_and_inverse(ctx):
     inv = mat_inverse(M)
     assert mat_mul(M, inv) == identity_matrix(ctx, 2)
     assert inv[0][1] == -1 / (x * x)
+    # pivot rows found out of order: the row permutation gives the sign
+    y = ctx.sym("y")
+    assert mat_det([[ctx.zero, ctx.one], [ctx.one, ctx.zero]]) == -1
+    assert mat_det([[ctx.zero, ctx.zero, x], [ctx.zero, y, ctx.zero], [ctx.one, ctx.zero, ctx.zero]]) == -x * y
+    cyclic = [[ctx.zero, x, ctx.zero], [ctx.zero, ctx.zero, y], [ctx.one, ctx.zero, ctx.zero]]
+    assert mat_det(cyclic) == x * y
+    assert mat_mul(cyclic, mat_inverse(cyclic)) == identity_matrix(ctx, 3)
+    # sampled (Fraction) matrices take the same path
+    F = Fraction
+    assert mat_det([[F(1, 2), F(3)], [F(2), F(4)]]) == F(-4)
+    assert mat_det([[F(0), F(1)], [F(1), F(0)]]) == F(-1)
+    assert mat_det([[F(1), F(2)], [F(2), F(4)]]) == 0
 
 
 def test_inverse_singular(ctx):
@@ -41,6 +56,10 @@ def test_symbolic_rank(ctx):
     assert symbolic_rank([[x, y], [y, x]]) == 2
     assert symbolic_rank([]) == 0
     assert symbolic_rank([[ctx.zero, ctx.zero]]) == 0
+    F = Fraction
+    assert symbolic_rank([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]) == 2
+    assert symbolic_rank([[F(0), F(1)], [F(1), F(0)], [F(1), F(1)]]) == 2
+    assert symbolic_rank([[F(0), F(0)]]) == 0
 
 
 def test_row_reduce_pivots_and_rhs(ctx):
@@ -56,3 +75,38 @@ def test_row_reduce_pivots_and_rhs(ctx):
     free = [r for r in range(3) if r not in {p for p, _ in pivots}]
     assert len(free) == 1
     assert all(reduced[free[0]][c].is_zero() for c in range(2))
+
+
+def test_eliminate_pivot_rules(ctx):
+    x, y = ctx.sym("x"), ctx.sym("y")
+    heavy = [x + y + 1, x, ctx.one]
+    light = [x, ctx.one, (x + y) ** 5]  # the trailing column is not weighed
+    _, pivots, _ = eliminate([heavy, light], 2)
+    assert pivots[0] == (0, 0)
+    _, pivots, values = eliminate([heavy, light], 2, sparsest=True)
+    assert pivots[0] == (1, 0)
+    assert values[0] == x
+    # ties go to the lower row
+    _, pivots, _ = eliminate([heavy[:2], [x, ctx.one], [y, ctx.one]], 2, sparsest=True)
+    assert pivots[0] == (1, 0)
+
+
+def test_eliminate_tracked_columns(ctx):
+    x, y = ctx.sym("x"), ctx.sym("y")
+    F = Fraction
+    A = [[F(1), F(2)], [F(2), F(4)], [F(0), F(3)]]
+    rhs = [x, y, x * y]
+    # [A | I | rhs], as in the absorption solve
+    rows = [a + [F(int(f == e)) for f in range(3)] + [r] for e, (a, r) in enumerate(zip(A, rhs))]
+    reduced, pivots, values = eliminate(rows, 2)
+    assert rows[1][0] == 2  # the input is copied, not reduced in place
+    assert pivots == [(0, 0), (2, 1)]
+    assert values == [1, 3]
+    # every reduced row is its tracked transform applied to the input rows
+    for r in range(3):
+        T = reduced[r][2:5]
+        for c in range(6):
+            assert reduced[r][c] == sum((T[f] * rows[f][c] for f in range(3)), ctx.zero)
+    assert reduced[1][:5] == [0, 0, -2, 1, 0]
+    assert reduced[1][5] == y - 2 * x
+    assert all(isinstance(e, Fraction) for e in reduced[1][:5])
