@@ -34,7 +34,7 @@ def main():
 
     print("\n-- an involutive system: u_x = 0 --")
     R2 = JetSystem(space, {(0, (1, 0)): ctx.zero}, 1)
-    ch = jet_characters(R2)
+    ch = jet_characters(prolong_system(R2))
     print(f"characters s = {tuple(ch.s)}, parametric second-order count r2 = {ch.r2}")
     print(f"Cartan's test: {ch.r2} = 1*{ch.s[0]} + 2*{ch.s[1]} ->",
           "involutive" if ch.involutive else "prolong")

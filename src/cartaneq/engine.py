@@ -685,7 +685,8 @@ def run_loop(p: GStructureProblem, policy: Policy | None = None) -> EquivalenceR
         if active:
             targets, notes = _choose_targets(current, active, policy, rng)
             reduced = reduce_group(current, sol, targets, rng)
-            assert reduced.group.r < current.group.r
+            if reduced.group.r >= current.group.r:
+                raise EngineError("group reduction did not lower the group dimension")
             rec = LoopRecord(
                 current.stage, current.n, current.group.r, data, sol, classification,
                 chars, "reduce",
@@ -704,7 +705,8 @@ def run_loop(p: GStructureProblem, policy: Policy | None = None) -> EquivalenceR
             loops.append(rec)
             return EquivalenceResult(p, "involutive", loops, current, policy=policy)
         prolonged = prolong(current, sol, chars)
-        assert prolonged.n > current.n
+        if prolonged.n <= current.n:
+            raise EngineError("prolongation did not raise the chart dimension")
         rec = LoopRecord(
             current.stage, current.n, current.group.r, data, sol, classification,
             chars, "prolong",

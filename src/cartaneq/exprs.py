@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "ExprError",
+    "DivisionByZeroError",
     "PoleError",
     "SingularSubstitutionError",
     "UnboundAtomError",
@@ -36,6 +37,10 @@ KINDS = ("coordinate", "group-parameter", "jet-variable", "auxiliary")
 
 class ExprError(Exception):
     """Base error of the expression kernel."""
+
+
+class DivisionByZeroError(ExprError, ZeroDivisionError):
+    """An exact division by the zero polynomial or expression."""
 
 
 class PoleError(ExprError):
@@ -326,7 +331,7 @@ def _patoms(p: Poly) -> set:
 def _pdiv_exact(p: Poly, d: Poly) -> Poly:
     """Divide p by d, asserting the division is exact."""
     if not d:
-        raise ZeroDivisionError("polynomial division by zero")
+        raise DivisionByZeroError("polynomial division by zero")
     dc = _pconst(d)
     if dc is not None:
         return _pscale(p, 1 / dc)
@@ -422,72 +427,65 @@ def _prem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
     return r
 
 
-def _peval_int(p: Poly, point: dict) -> Fraction:
-    total = _ZERO
-    for m, c in p.items():
-        val = c
-        for atom, e in m:
-            val *= point[id(atom)] ** e
-        total += val
-    return total
+# The gcd-triviality probe works modulo this Mersenne prime.
+_P = (1 << 61) - 1
 
 
-def _univar_fraction_gcd_degree(a: dict[int, Fraction], b: dict[int, Fraction]) -> int:
-    """Degree of gcd of univariate polynomials over Q (dense Euclid)."""
-    da, db = max(a), max(b)
-    A = [a.get(i, _ZERO) for i in range(da + 1)]
-    B = [b.get(i, _ZERO) for i in range(db + 1)]
-    while B and any(B):
-        while B and B[-1] == 0:
-            B.pop()
-        if len(B) == 0:
-            break
-        if len(A) < len(B):
-            A, B = B, A
-            continue
-        lb = B[-1]
-        while len(A) >= len(B):
-            la = A[-1]
-            if la:
-                shift = len(A) - len(B)
-                f = la / lb
-                for i in range(len(B)):
-                    A[i + shift] -= f * B[i]
-            A.pop()
-            while A and A[-1] == 0:
-                A.pop()
-            if not A:
-                break
-        A, B = B, A
-    while A and A[-1] == 0:
-        A.pop()
-    return len(A) - 1 if A else -1
+def _dense_mod(u: dict[int, Poly], point: dict) -> list[int] | None:
+    """u with its coefficient atoms bound to ``point``, as a dense list mod _P
+    (constant term first); None when _P divides a coefficient denominator."""
+    out = [0] * (max(u) + 1)
+    for d, coeff in u.items():
+        total = 0
+        for m, c in coeff.items():
+            den = c.denominator
+            if den % _P == 0:
+                return None
+            val = c.numerator if den == 1 else c.numerator * pow(den, -1, _P)
+            for atom, e in m:
+                val = val * pow(point[atom], e, _P) % _P
+            total += val
+        out[d] = total % _P
+    return out
 
 
-def _gcd_probe_trivial(p1: Poly, q1: Poly, v: Atom) -> bool:
-    """Sound probe: True when gcd(p1, q1) certainly has no v-dependence.
+def _gf_gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree of the gcd over GF(_P) of dense polynomials with nonzero
+    leading coefficients (dense Euclid; both lists are consumed)."""
+    while b:
+        inv = pow(b[-1], -1, _P)
+        while len(a) >= len(b):
+            f = a[-1] * inv % _P
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * c) % _P
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
 
-    Evaluates every other atom at a fixed point; valid whenever the leading
-    v-coefficients of both inputs survive the evaluation."""
-    others = [a for a in (_patoms(p1) | _patoms(q1)) if a is not v]
-    au = _as_univar(p1, v)
-    bu = _as_univar(q1, v)
+
+def _gcd_probe_trivial(a: dict[int, Poly], b: dict[int, Poly]) -> bool:
+    """Sound probe: True when the gcd of the univariate forms ``a`` and ``b``
+    (both of positive degree in their variable) certainly has degree 0.
+
+    Binds the coefficient atoms, in sort-key order, to integers mod _P and
+    decides at the first point where both leading coefficients survive.
+    There a nontrivial gcd maps to a common divisor of the same degree, so a
+    degree-0 gcd mod _P proves the rational gcd trivial.  An unlucky prime
+    or point only answers False, which sends the caller down the exact
+    Euclid path."""
+    others = sorted(set().union(*map(_patoms, a.values()), *map(_patoms, b.values())),
+                    key=lambda atom: atom.sort_key)
     for shiftbase in (2, 17, 53):
-        point = {id(a): Fraction(shiftbase + 3 * i) for i, a in enumerate(others)}
-        try:
-            ae = {d: _peval_int(c, point) for d, c in au.items()}
-            be = {d: _peval_int(c, point) for d, c in bu.items()}
-        except KeyError:
+        point = {atom: shiftbase + 3 * i for i, atom in enumerate(others)}
+        ae = _dense_mod(a, point)
+        be = _dense_mod(b, point)
+        if ae is None or be is None:
             return False
-        if ae[max(au)] == 0 or be[max(bu)] == 0:
-            continue
-        ae = {d: c for d, c in ae.items() if c}
-        be = {d: c for d, c in be.items() if c}
-        if not ae or not be:
-            continue
-        if _univar_fraction_gcd_degree(ae, be) == 0:
-            return True
-        return False
+        if ae[-1] and be[-1]:
+            return _gf_gcd_degree(ae, be) == 0
     return False
 
 
@@ -510,22 +508,13 @@ def _pgcd(p: Poly, q: Poly) -> Poly:
     if not shared:
         return _pmonic({mg: _ONE})
     v = min(shared, key=lambda a: a.sort_key)
-    if _gcd_probe_trivial(p1, q1, v):
-        ca = _u_content(_as_univar(p1, v))
-        cb = _u_content(_as_univar(q1, v))
-        inner = _pgcd(ca, cb)
-        return _pmonic(_pmul({mg: _ONE}, inner))
     a = _as_univar(p1, v)
     b = _as_univar(q1, v)
-    if 0 in a and len(a) == 1:
-        inner = _pgcd(a[0], q1)
-        return _pmonic(_pmul({mg: _ONE}, inner))
-    if 0 in b and len(b) == 1:
-        inner = _pgcd(p1, b[0])
-        return _pmonic(_pmul({mg: _ONE}, inner))
     ca = _u_content(a)
     cb = _u_content(b)
     d = _pgcd(ca, cb)
+    if _gcd_probe_trivial(a, b):
+        return _pmonic(_pmul({mg: _ONE}, d))
     a = {deg: _pdiv_exact(c, ca) for deg, c in a.items()}
     b = {deg: _pdiv_exact(c, cb) for deg, c in b.items()}
     if max(a) < max(b):
@@ -656,7 +645,7 @@ class Expr:
     @staticmethod
     def _make(ctx: Context, num: Poly, den: Poly) -> "Expr":
         if not den:
-            raise ZeroDivisionError("division by zero expression")
+            raise DivisionByZeroError("division by zero expression")
         if not num:
             return ctx.zero
         dc = _pconst(den)
@@ -848,7 +837,7 @@ class Expr:
         if o is None:
             return NotImplemented
         if o.is_zero():
-            raise ZeroDivisionError("division by zero expression")
+            raise DivisionByZeroError("division by zero expression")
         return Expr._make(self.ctx, _pmul(self._num, o._den), _pmul(self._den, o._num))
 
     def __rtruediv__(self, other: Scalar) -> "Expr":
@@ -864,7 +853,7 @@ class Expr:
             return self.ctx.one
         if n < 0:
             if self.is_zero():
-                raise ZeroDivisionError("zero to a negative power")
+                raise DivisionByZeroError("zero to a negative power")
             return Expr._make(self.ctx, _ppow(self._den, -n), _ppow(self._num, -n))
         return Expr._make(self.ctx, _ppow(self._num, n), _ppow(self._den, n))
 

@@ -437,10 +437,12 @@ def complete_to_order(R: JetSystem, order: int | None = None) -> JetSystem:
     raise JetError("completion did not stabilize")
 
 
-def jet_characters(R: JetSystem, rng: random.Random | None = None) -> CharacterReport:
-    """Reduced Cartan characters of R at its order, with the fiber dimension
-    r^{q+1} counted from the prolongation."""
+def jet_characters(P: ProlongedSystem, rng: random.Random | None = None) -> CharacterReport:
+    """Reduced Cartan characters of the base system R = P.base at its order q,
+    with the fiber dimension r^{q+1} read from its prolongation P, which the
+    caller has already computed with ``prolong_system(R)``."""
     rng = rng or random.Random(0)
+    R = P.base
     space = R.space
     ctx = space.ctx
     n, q = space.n, R.order
@@ -486,8 +488,7 @@ def jet_characters(R: JetSystem, rng: random.Random | None = None) -> CharacterR
 
     report = reduced_characters(ctx, n, len(cols), build_rows, rng)
     _monitor_regularity(R, build_rows, report, rng)
-    prolonged = prolong_system(R)
-    return report.with_fiber_dimension(prolonged.parametric_top_count)
+    return report.with_fiber_dimension(P.parametric_top_count)
 
 
 def _monitor_regularity(R: JetSystem, build_rows, report: CharacterReport, rng: random.Random):
@@ -552,7 +553,7 @@ def complete_to_involution(R: JetSystem, cap: int = 10, rng: random.Random | Non
                     conditions=[str(c) for c in conditions])
             current = reduced
             continue
-        chars = jet_characters(current, rng)
+        chars = jet_characters(prolonged, rng)
         log.add(action="cartan-test", order=current.order, s=chars.s,
                 r_next=chars.r2, involutive=chars.involutive)
         if chars.involutive:
@@ -689,7 +690,7 @@ def crosscheck_characters(p: GStructureProblem, rng: random.Random | None = None
     R = encode_gstructure(p)
     prolonged = prolong_system(R)
     conditions, _ = project_integrability(prolonged)
-    jchars = jet_characters(R, rng)
+    jchars = jet_characters(prolonged, rng)
 
     equal = (
         sol.r2 == jchars.r2

@@ -31,6 +31,7 @@ from cartaneq.jets import (
     crosscheck_characters,
     encode_gstructure,
     jet_characters,
+    prolong_system,
 )
 
 from genutil import (
@@ -156,7 +157,7 @@ def test_criterion_4_jet_oracle_suite():
     assert tests and tests[-1]["involutive"]
 
     R2 = JetSystem(sp, {(0, (1, 0)): ctx.zero}, 1)
-    ch = jet_characters(R2)
+    ch = jet_characters(prolong_system(R2))
     assert ch.s == [1, 0] and ch.r2 == 1 and ch.involutive
     print("\nACCEPTANCE 4 PASS: {u_x=u, u_y=xu} completes with the single condition "
           "u = 0 then passes Cartan's test; {u_x=0} has s = (1,0), r2 = 1")

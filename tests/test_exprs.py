@@ -2,9 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cartaneq import Context, ParseError
-from cartaneq.exprs import ExprError, PoleError, SingularSubstitutionError, UnboundAtomError
+from cartaneq import exprs
+from cartaneq.exprs import (
+    DivisionByZeroError,
+    Expr,
+    ExprError,
+    PoleError,
+    SingularSubstitutionError,
+    UnboundAtomError,
+)
 
 from genutil import random_expr, random_fraction
 
@@ -240,3 +249,64 @@ def test_algebraic_identities_randomized(ctx):
         if not b.is_zero():
             assert (a / b) * b == a
             assert a / b + 1 == (a + b) / b
+
+
+def test_division_by_zero_is_structured(ctx):
+    for divide in (
+        lambda: ctx.one / ctx.zero,
+        lambda: ctx.zero ** -1,
+        lambda: Expr._make(ctx, {(): Fraction(1)}, {}),
+        lambda: exprs._pdiv_exact({(): Fraction(1)}, {}),
+    ):
+        with pytest.raises(DivisionByZeroError) as err:
+            divide()
+        assert isinstance(err.value, ExprError) and isinstance(err.value, ZeroDivisionError)
+
+
+def test_gcd_probe_declines_and_skips(ctx):
+    x = ctx.get_symbol("x")
+
+    def univar(text):
+        return exprs._as_univar(ctx.parse(text)._num, x)
+
+    probe = exprs._gcd_probe_trivial
+    assert probe(univar("x + y"), univar("x - y")) is True
+    # a coefficient denominator divisible by the probe's prime cannot be mapped
+    assert probe(univar(f"x + y/{exprs._P}"), univar("x - y")) is False
+    # the leading coefficient vanishes at the first point (y = 2): y = 17 decides
+    assert probe(univar("(y - 2)*x^2 + x + 1"), univar("x + y")) is True
+    # g = (y - 2)*x + 1 is a constant at y = 2, so deciding there would miss it
+    g = "((y - 2)*x + 1)"
+    assert probe(univar(f"{g}*(x + 1)"), univar(f"{g}*(x + 3)")) is False
+    # no point left where the leading coefficient survives
+    assert probe(univar("(y - 2)*(y - 17)*(y - 53)*x + 1"), univar("x + y")) is False
+
+
+_MONO = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+_COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_SMALL_POLY = st.dictionaries(_MONO, _COEFF, min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SMALL_POLY, _SMALL_POLY, _SMALL_POLY)
+def test_pgcd_probe_agrees_with_full_euclid(g, a, b):
+    ctx = Context()
+    atoms = ctx.declare_symbols(["x", "y", "z"], "coordinate")
+
+    def poly(spec):
+        total = ctx.zero
+        for exps, c in spec.items():
+            term = ctx.expr(c)
+            for atom, e in zip(atoms, exps):
+                term = term * ctx.expr(atom) ** e
+            total = total + term
+        return total._num
+
+    g, a, b = poly(g), poly(a), poly(b)
+    ga, gb = exprs._pmul(g, a), exprs._pmul(g, b)
+    probed = exprs._pgcd(ga, gb)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exprs, "_gcd_probe_trivial", lambda a, b: False)
+        assert exprs._pgcd(ga, gb) == probed
+    if g:
+        exprs._pdiv_exact(probed, g)  # raises unless g divides the gcd

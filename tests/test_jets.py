@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartaneq import Context
+from cartaneq import Context, jets
 from cartaneq.jets import (
     InconsistentSystemError,
     JetError,
@@ -168,22 +168,22 @@ def test_complete_to_order_paper_degenerate_example():
             J[i] += 1
             cand = done.reduce(sp.jet_expr(a, tuple(J)) - total_derivative(sp, F, i))
             assert cand.is_zero()
-    ch = jet_characters(done)
+    ch = jet_characters(prolong_system(done))
     assert ch.s == [0, 0, 0] and ch.r2 == 0 and ch.involutive
 
 
 def test_jet_characters_examples():
     ctx, sp = one_dep_space()
     R = JetSystem(sp, {(0, (1, 0)): ctx.zero}, 1)
-    ch = jet_characters(R)
+    ch = jet_characters(prolong_system(R))
     assert ch.s == [1, 0] and ch.r2 == 1 and ch.involutive
 
     free = JetSystem(sp, {}, 1)
-    ch2 = jet_characters(free)
+    ch2 = jet_characters(prolong_system(free))
     assert ch2.s == [1, 1] and ch2.r2 == 3 and ch2.involutive
 
     det = JetSystem(sp, {(0, (1, 0)): ctx.zero, (0, (0, 1)): ctx.zero}, 1)
-    ch3 = jet_characters(det)
+    ch3 = jet_characters(prolong_system(det))
     assert ch3.s == [0, 0] and ch3.r2 == 0 and ch3.involutive
 
 
@@ -203,6 +203,25 @@ def test_complete_to_involution():
 
     with pytest.raises(JetError):
         complete_to_involution(R, cap=0)
+
+
+def test_one_prolongation_per_jet_loop(monkeypatch):
+    calls = []
+
+    def counting(R):
+        calls.append(R)
+        return prolong_system(R)
+
+    monkeypatch.setattr(jets, "prolong_system", counting)
+    assert crosscheck_characters(toy_diag_problem()).equal
+    assert len(calls) == 1
+
+    calls.clear()
+    ctx, sp = one_dep_space()
+    R = JetSystem(sp, {(0, (1, 0)): ctx.sym("u"), (0, (0, 1)): ctx.parse("x*u")}, 1)
+    _, log = complete_to_involution(R, cap=5)
+    loops = [s for s in log.steps if s["action"] != "prolong"]
+    assert len(calls) == len(loops) == 2
 
 
 def test_encode_flat_identity():
@@ -338,7 +357,7 @@ def test_character_basis_independence():
 
     ctx, sp = one_dep_space()
     R = JetSystem(sp, {(0, (1, 0)): sp.jet_expr(0, (0, 1)) * ctx.sym("x")}, 1)
-    base = jet_characters(R)
+    base = jet_characters(prolong_system(R))
 
     # reproduce the gamma-system and transform it
     prin = R.principal()
