@@ -29,7 +29,7 @@ def main():
     print("cross-derivative clash u_xy yields the condition:", conditions[0], "= 0")
     print("completed system:", ", ".join(reduced.pretty()))
     final, log = complete_to_involution(R, cap=5)
-    for step in log.steps:
+    for step in log:
         print("  ", step)
 
     print("\n-- an involutive system: u_x = 0 --")

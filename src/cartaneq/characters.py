@@ -42,13 +42,13 @@ class CharacterReport:
         return self
 
 
-def _direction_grid(n: int, rng: random.Random, extra: int = 50):
+def _direction_grid(n: int, rng: random.Random):
     for i in range(n):
         yield [Fraction(1 if t == i else 0) for t in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             yield [Fraction(1 if t in (i, j) else 0) for t in range(n)]
-    for _ in range(extra):
+    for _ in range(50):
         yield [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
 
 

@@ -17,14 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .engine import (
-    build_absorption,
-    cartan_characters,
-    classify_torsion,
-    compute_structure_data,
-    run_loop,
-    solve_absorption,
-)
+from .engine import loop_stages, run_loop
 from .exprs import ExprError
 from .jets import crosscheck_characters
 from .problems import load_problem
@@ -56,11 +49,7 @@ def _cmd_characters(args) -> int:
     problem, policy = load_problem(args.file)
     if args.seed is not None:
         policy.seed = args.seed
-    rng = random.Random(policy.seed)
-    data = compute_structure_data(problem)
-    sol = solve_absorption(build_absorption(problem, data, "normalized"))
-    cls = classify_torsion(sol, rng)
-    chars = cartan_characters(problem, sol, rng)
+    _, _, cls, chars = loop_stages(problem, random.Random(policy.seed))
     print(f"== {problem.title}: first-loop characters ==")
     print(f"s = {tuple(chars.s)}, r2 = {chars.r2}, Cartan test {'passes' if chars.involutive else 'fails'}")
     unresolved = [k for k in cls.kinds if k != "trivial"]

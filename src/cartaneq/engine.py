@@ -49,6 +49,7 @@ __all__ = [
     "cartan_characters",
     "prolong",
     "prolonged_group",
+    "loop_stages",
     "run_loop",
     "target_symbol",
     "residual_label",
@@ -538,7 +539,7 @@ def prolonged_group(p: GStructureProblem, sol: AbsorptionSolution) -> ParamGroup
 def prolong(
     p: GStructureProblem,
     sol: AbsorptionSolution,
-    chars: CharacterReport | None = None,
+    chars: CharacterReport,
 ) -> GStructureProblem:
     """The G(2)-structure on the absorbed coframe bundle.
 
@@ -546,8 +547,6 @@ def prolong(
     pi^k = alpha^k - (Q^k_j . (c - lhs)) (g eta)^j; new group: the abelian
     block-unipotent group with M(v) entries P^k_j . v, of dimension r2.
     """
-    if chars is None:
-        chars = cartan_characters(p, sol)
     if chars.involutive is True:
         raise EngineError("prolongation refused: the problem is involutive")
     ctx = p.ctx
@@ -658,6 +657,18 @@ class EquivalenceResult:
     policy: Policy = field(default_factory=Policy)
 
 
+def loop_stages(p: GStructureProblem, rng: random.Random) -> tuple[
+        StructureData, AbsorptionSolution, TorsionClassification, CharacterReport]:
+    """The stages every loop runs before its decision: structure data,
+    normalized absorption, then classification and characters, which draw
+    from ``rng`` in that order (the order fixes a report's witnesses)."""
+    data = compute_structure_data(p)
+    sol = solve_absorption(build_absorption(p, data, "normalized"))
+    classification = classify_torsion(sol, rng)
+    chars = cartan_characters(p, sol, rng)
+    return data, sol, classification, chars
+
+
 def run_loop(p: GStructureProblem, policy: Policy | None = None) -> EquivalenceResult:
     """Iterate compute -> absorb -> classify -> {reduce | test | prolong}."""
     policy = policy or Policy()
@@ -668,18 +679,17 @@ def run_loop(p: GStructureProblem, policy: Policy | None = None) -> EquivalenceR
     for _ in range(policy.max_loops):
         if current.group.r == 0 and not (initial_trivial and current.stage == p.stage):
             return EquivalenceResult(p, "e-structure", loops, current, policy=policy)
-        data = compute_structure_data(current)
-        system = build_absorption(current, data, "normalized")
-        sol = solve_absorption(system)
-        classification = classify_torsion(sol, rng)
-        chars = cartan_characters(current, sol, rng)
+        data, sol, classification, chars = loop_stages(current, rng)
+
+        def record(action: str, detail: dict, targets: dict[str, Fraction]):
+            loops.append(LoopRecord(
+                current.stage, current.n, current.group.r, data, sol, classification,
+                chars, action, detail, targets,
+            ))
+
         if classification.genuine or not classification.full_rank:
             invs = [sol.torsion[i].expr for i in classification.genuine]
-            rec = LoopRecord(
-                current.stage, current.n, current.group.r, data, sol, classification,
-                chars, "halt", {"reason": "constant-type violation"},
-            )
-            loops.append(rec)
+            record("halt", {"reason": "constant-type violation"}, {})
             return EquivalenceResult(p, "constant-type-violation", loops, current, invs, policy)
         active = [sol.torsion[i] for i in classification.group_dependent()]
         if active:
@@ -687,31 +697,20 @@ def run_loop(p: GStructureProblem, policy: Policy | None = None) -> EquivalenceR
             reduced = reduce_group(current, sol, targets, rng)
             if reduced.group.r >= current.group.r:
                 raise EngineError("group reduction did not lower the group dimension")
-            rec = LoopRecord(
-                current.stage, current.n, current.group.r, data, sol, classification,
-                chars, "reduce",
+            record(
+                "reduce",
                 {"notes": notes, "new_group_dim": reduced.group.r,
                  "provenance": reduced.provenance[-1]},
                 targets,
             )
-            loops.append(rec)
             current = reduced
             continue
         if chars.involutive:
-            rec = LoopRecord(
-                current.stage, current.n, current.group.r, data, sol, classification,
-                chars, "involutive", {},
-            )
-            loops.append(rec)
+            record("involutive", {}, {})
             return EquivalenceResult(p, "involutive", loops, current, policy=policy)
         prolonged = prolong(current, sol, chars)
         if prolonged.n <= current.n:
             raise EngineError("prolongation did not raise the chart dimension")
-        rec = LoopRecord(
-            current.stage, current.n, current.group.r, data, sol, classification,
-            chars, "prolong",
-            {"new_chart_dim": prolonged.n, "new_group_dim": prolonged.group.r},
-        )
-        loops.append(rec)
+        record("prolong", {"new_chart_dim": prolonged.n, "new_group_dim": prolonged.group.r}, {})
         current = prolonged
     return EquivalenceResult(p, "cap-exceeded", loops, current, policy=policy)

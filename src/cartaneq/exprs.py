@@ -178,6 +178,11 @@ def _mono_cmp(a: Mono, b: Mono) -> int:
     db = sum(e for _, e in b)
     if da != db:
         return -1 if da < db else 1
+    return _mono_lex_cmp(a, b)
+
+
+def _mono_lex_cmp(a: Mono, b: Mono) -> int:
+    """The tie-break of ``_mono_cmp`` between monomials of equal degree."""
     i = j = 0
     while i < len(a) and j < len(b):
         ka, kb = a[i][0].sort_key, b[j][0].sort_key
@@ -208,7 +213,6 @@ def _mono_divides(d: Mono, m: Mono) -> bool:
 
 def _mono_div(m: Mono, d: Mono) -> Mono:
     out = []
-    j = 0
     for atom, e in m:
         ed = 0
         for a2, e2 in d:
@@ -285,11 +289,14 @@ def _ppow(p: Poly, n: int) -> Poly:
 
 
 def _plead(p: Poly) -> tuple[Mono, Fraction]:
+    """The leading term under ``_mono_cmp``; each degree is summed once."""
     it = iter(p.items())
     best = next(it)
+    best_deg = sum(e for _, e in best[0])
     for item in it:
-        if _mono_cmp(item[0], best[0]) > 0:
-            best = item
+        deg = sum(e for _, e in item[0])
+        if deg > best_deg or (deg == best_deg and _mono_lex_cmp(item[0], best[0]) > 0):
+            best, best_deg = item, deg
     return best
 
 
@@ -737,9 +744,6 @@ class Expr:
         if nc is None or dc is None:
             return None
         return nc / dc
-
-    def depends_on(self, s: Symbol) -> bool:
-        return s in self.free_symbols
 
     # -- polynomial views ---------------------------------------------------
 

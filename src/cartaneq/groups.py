@@ -10,8 +10,9 @@ not assumed.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -88,13 +89,17 @@ def solve_power_in(e: Expr, atom) -> Expr | None:
 
 
 def _iroot(v: int, d: int) -> int | None:
+    """The exact integer d-th root of v, or None when v is not a d-th power."""
     if v < 0:
         return None
-    r = round(v ** (1.0 / d))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**d == v:
-            return cand
-    return None
+    if d == 2:
+        r = math.isqrt(v)
+    else:
+        r, hi = 0, 1 << (v.bit_length() // d + 1)  # bisect with r**d <= v < hi**d
+        while hi - r > 1:
+            mid = (r + hi) // 2
+            r, hi = (mid, hi) if mid**d <= v else (r, mid)
+    return r if r**d == v else None
 
 
 @dataclass
@@ -175,9 +180,6 @@ class MCBasis:
     @property
     def r(self) -> int:
         return len(self.slots)
-
-    def F_row(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.F[(i, j)]
 
 
 def group_inverse(g: ParamGroup) -> list[list[Expr]]:
@@ -302,12 +304,11 @@ def check_closure(g: ParamGroup, samples: int = 5, rng: random.Random | None = N
     rng = rng or random.Random(0)
     notes: list[str] = []
     eqs = g.membership_eqs
-    plan = None
     if eqs is None:
         plan = recover_params(g)
         if plan is None:
             return False, ["no membership equations and parameter recovery failed"]
-        slots = slot_symbols(g.ctx, g.n)
+    slots = slot_symbols(g.ctx, g.n)
     for t in range(samples):
         va = _random_point(g, rng)
         vb = _random_point(g, rng)
@@ -317,21 +318,13 @@ def check_closure(g: ParamGroup, samples: int = 5, rng: random.Random | None = N
             [sum(ma[i][k] * mb[k][j] for k in range(g.n)) for j in range(g.n)]
             for i in range(g.n)
         ]
+        binding = {slots[i][j]: prod[i][j] for i in range(g.n) for j in range(g.n)}
         if eqs is not None:
-            binding = {}
-            ss = slot_symbols(g.ctx, g.n)
-            for i in range(g.n):
-                for j in range(g.n):
-                    binding[ss[i][j]] = prod[i][j]
             for eq in eqs:
                 if eq.eval_at(binding) != 0:
                     notes.append(f"sample {t}: product violates membership equation {eq}")
                     return False, notes
         else:
-            binding = {}
-            for i in range(g.n):
-                for j in range(g.n):
-                    binding[slots[i][j]] = prod[i][j]
             try:
                 rec = {s: plan[s].eval_at(binding) for s in g.params}
             except ExprError as exc:

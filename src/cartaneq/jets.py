@@ -19,15 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .characters import CharacterReport, reduced_characters
-from .engine import (
-    GStructureProblem,
-    build_absorption,
-    cartan_characters,
-    classify_torsion,
-    compute_structure_data,
-    solve_absorption,
-    target_symbol,
-)
+from .engine import GStructureProblem, loop_stages, target_symbol
 from .exprs import Context, Expr, ExprError, PoleError, Symbol
 from .groups import membership_equations, slot_symbols, solve_linear_in
 from .linalg import eliminate, identity_matrix, mat_inverse, mat_mul, row_reduce, symbolic_rank
@@ -122,9 +114,6 @@ class JetSpace:
     def jet_expr(self, a: int, J: MultiIndex) -> Expr:
         return self.ctx.expr(self.jet(a, J))
 
-    def decompose(self, s: Symbol) -> tuple[int, MultiIndex] | None:
-        return self._reverse.get(s)
-
     def jets_in(self, e: Expr) -> list[tuple[int, MultiIndex]]:
         found = {self._reverse[s] for s in e.free_symbols if s in self._reverse}
         return sorted(found)
@@ -185,9 +174,6 @@ class JetSystem:
         if not any(s in e.free_symbols for s in subs):
             return e
         return e.subs(subs)
-
-    def equations_of_order(self, t: int) -> dict[tuple[int, MultiIndex], Expr]:
-        return {k: v for k, v in self.equations.items() if sum(k[1]) == t}
 
     def parametric_of_order(self, t: int) -> list[tuple[int, MultiIndex]]:
         prin = self.principal()
@@ -398,11 +384,11 @@ def project_integrability(P: ProlongedSystem) -> tuple[list[Expr], JetSystem]:
     return new, reduced_sys
 
 
-def complete_to_order(R: JetSystem, order: int | None = None) -> JetSystem:
+def complete_to_order(R: JetSystem) -> JetSystem:
     """Prolong every equation of order < q to order q and intersect until
     stable; the result is closed under prolongation of lower-order members."""
     space = R.space
-    q = R.order if order is None else order
+    q = R.order
     current = JetSystem(space, dict(R.equations), q)
     units: set = set()
     for _ in range(200):
@@ -529,37 +515,30 @@ def _monitor_regularity(R: JetSystem, build_rows, report: CharacterReport, rng: 
         checked += 1
 
 
-@dataclass
-class CompletionLog:
-    steps: list[dict] = field(default_factory=list)
-
-    def add(self, **kw):
-        self.steps.append(kw)
-
-
-def complete_to_involution(R: JetSystem, cap: int = 10, rng: random.Random | None = None) -> tuple[JetSystem, CompletionLog]:
+def complete_to_involution(R: JetSystem, cap: int = 10, rng: random.Random | None = None) -> tuple[JetSystem, list[dict]]:
     """Algorithm: (a) adjoin integrability conditions until none appear,
-    (b) compute reduced characters, (c) Cartan's test; prolong on failure."""
+    (b) compute reduced characters, (c) Cartan's test; prolong on failure.
+    The log lists one dict per step, keyed by ``action``."""
     if cap < 1:
         raise JetError("cap must be at least 1")
     rng = rng or random.Random(0)
-    log = CompletionLog()
+    log: list[dict] = []
     current = complete_to_order(R)
     for _ in range(cap):
         prolonged = prolong_system(current)
         conditions, reduced = project_integrability(prolonged)
         if conditions:
-            log.add(action="conditions", order=current.order,
-                    conditions=[str(c) for c in conditions])
+            log.append(dict(action="conditions", order=current.order,
+                            conditions=[str(c) for c in conditions]))
             current = reduced
             continue
         chars = jet_characters(prolonged, rng)
-        log.add(action="cartan-test", order=current.order, s=chars.s,
-                r_next=chars.r2, involutive=chars.involutive)
+        log.append(dict(action="cartan-test", order=current.order, s=chars.s,
+                        r_next=chars.r2, involutive=chars.involutive))
         if chars.involutive:
             return current, log
         current = prolonged.as_jet_system()
-        log.add(action="prolong", order=current.order)
+        log.append(dict(action="prolong", order=current.order))
     raise JetError(f"completion cap of {cap} loops exceeded")
 
 
@@ -681,10 +660,7 @@ def crosscheck_characters(p: GStructureProblem, rng: random.Random | None = None
     machinery on the encoded system: compare (r^2, characters, number of
     independent new conditions)."""
     rng = rng or random.Random(0)
-    data = compute_structure_data(p)
-    sol = solve_absorption(build_absorption(p, data, "normalized"))
-    cls = classify_torsion(sol, rng)
-    chars = cartan_characters(p, sol, rng)
+    _, sol, cls, chars = loop_stages(p, rng)
     ncond_engine = sum(1 for k in cls.kinds if k != "trivial")
 
     R = encode_gstructure(p)

@@ -21,10 +21,8 @@ __all__ = [
     "eliminate",
     "identity_matrix",
     "mat_mul",
-    "mat_vec",
     "mat_det",
     "mat_inverse",
-    "mat_sub",
     "symbolic_rank",
     "row_reduce",
 ]
@@ -53,20 +51,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_vec(a: Matrix, v: Sequence[Expr]) -> list[Expr]:
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for t in range(1, len(v)):
-            acc = acc + row[t] * v[t]
-        out.append(acc)
-    return out
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def eliminate(

@@ -175,15 +175,18 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
         key, eq, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key == "max_loops":
-            policy.max_loops = int(value)
-        elif key == "seed":
-            policy.seed = int(value)
-        elif key.startswith("target "):
-            label = key.split(None, 1)[1].strip()
-            policy.target_overrides[label] = Fraction(value)
-        else:
-            raise ProblemFileError(f"unrecognized policy line {line!r}", lineno)
+        try:
+            if key == "max_loops":
+                policy.max_loops = int(value)
+            elif key == "seed":
+                policy.seed = int(value)
+            elif key.startswith("target "):
+                label = key.split(None, 1)[1].strip()
+                policy.target_overrides[label] = Fraction(value)
+            else:
+                raise ProblemFileError(f"unrecognized policy line {line!r}", lineno)
+        except (ValueError, ZeroDivisionError):
+            raise ProblemFileError(f"bad policy value {value!r} for {key}", lineno) from None
 
     group = ParamGroup(ctx, n, tuple(params), entries, identity, membership)
     problem = GStructureProblem(ctx, chart, coframe, group, title=title)

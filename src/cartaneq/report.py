@@ -8,7 +8,6 @@ byte-identical.  Wall-clock timings go to the human-readable text only.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .engine import EquivalenceResult, LoopRecord
 
@@ -17,27 +16,22 @@ __all__ = ["result_to_dict", "result_to_json", "render_text", "REPORT_SCHEMA"]
 SCHEMA_ID = "cartaneq-equivalence-report/v1"
 
 
-def _frac(f: Fraction) -> str:
-    return str(f)
+def _slot_table(table: dict) -> dict:
+    """Nonzero structure-function slots keyed "i|j,k" (1-based)."""
+    return {
+        f"{i + 1}|{j + 1},{k + 1}": str(e)
+        for (i, j, k), e in sorted(table.items())
+        if not e.is_zero()
+    }
 
 
 def _loop_to_dict(rec: LoopRecord) -> dict:
     data = rec.data
     n = rec.chart_dim
-    B = {
-        f"{i + 1}|{j + 1},{k + 1}": str(e)
-        for (i, j, k), e in sorted(data.B.items())
-        if not e.is_zero()
-    }
-    C = {
-        f"{i + 1}|{j + 1},{k + 1}": str(e)
-        for (i, j, k), e in sorted(data.C.items())
-        if not e.is_zero()
-    }
     mc = {
         "alpha_slots": [f"{i + 1},{j + 1}" for (i, j) in data.mc.slots],
         "F": {
-            f"{i + 1},{j + 1}": [_frac(f) for f in data.mc.F[(i, j)]]
+            f"{i + 1},{j + 1}": [str(f) for f in data.mc.F[(i, j)]]
             for i in range(n)
             for j in range(n)
             if any(data.mc.F[(i, j)])
@@ -52,14 +46,14 @@ def _loop_to_dict(rec: LoopRecord) -> dict:
             "class": kind,
         }
         if res.label in rec.targets:
-            entry["target"] = _frac(rec.targets[res.label])
+            entry["target"] = str(rec.targets[res.label])
         torsion.append(entry)
     chars = rec.characters
     return {
         "stage": rec.stage,
         "chart_dim": rec.chart_dim,
         "group_dim": rec.group_dim,
-        "structure": {"B": B, "C": C},
+        "structure": {"B": _slot_table(data.B), "C": _slot_table(data.C)},
         "mc_basis": mc,
         "absorption": {
             "equations": len(sol.system.slots),
@@ -74,7 +68,7 @@ def _loop_to_dict(rec: LoopRecord) -> dict:
             "r2": chars.r2,
             "involutive": bool(chars.involutive),
             "witnesses": [
-                [_frac(c) for c in w] if w is not None else None for w in chars.witnesses
+                [str(c) for c in w] if w is not None else None for w in chars.witnesses
             ],
         },
         "action": rec.action,
@@ -83,8 +77,6 @@ def _loop_to_dict(rec: LoopRecord) -> dict:
 
 
 def _plain(v):
-    if isinstance(v, Fraction):
-        return _frac(v)
     if isinstance(v, (list, tuple)):
         return [_plain(x) for x in v]
     if isinstance(v, dict):

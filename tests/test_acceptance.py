@@ -150,10 +150,10 @@ def test_criterion_4_jet_oracle_suite():
 
     R = JetSystem(sp, {(0, (1, 0)): ctx.sym("u"), (0, (0, 1)): ctx.parse("x*u")}, 1)
     final, log = complete_to_involution(R, cap=5)
-    cond_steps = [s for s in log.steps if s["action"] == "conditions"]
+    cond_steps = [s for s in log if s["action"] == "conditions"]
     assert len(cond_steps) == 1
     assert cond_steps[0]["conditions"] == ["u"]
-    tests = [s for s in log.steps if s["action"] == "cartan-test"]
+    tests = [s for s in log if s["action"] == "cartan-test"]
     assert tests and tests[-1]["involutive"]
 
     R2 = JetSystem(sp, {(0, (1, 0)): ctx.zero}, 1)

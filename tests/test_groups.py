@@ -13,6 +13,7 @@ from cartaneq.groups import (
     recover_params,
     right_mc,
     slot_symbols,
+    solve_power_in,
 )
 
 from genutil import group_template, lagrangian_problem
@@ -160,3 +161,16 @@ def test_recover_params_and_membership():
     mem = derive_membership(lag.group)
     printed = sorted(str(e) for e in mem)
     assert printed == ["g21", "g22*g33 - 1", "g23", "g31"]
+
+
+def test_solve_power_in_exact_integer_roots():
+    ctx = Context()
+    (a,) = ctx.declare_symbols(["a"], "group-parameter")
+    big = 10**100 + 7
+    # a float root misses this perfect square
+    assert solve_power_in(ctx.sym("a") ** 2 - ctx.expr(big**2), a) == ctx.expr(big)
+    # a float root overflows here
+    assert solve_power_in(ctx.sym("a") ** 2 - ctx.expr(10**400), a) == ctx.expr(10**200)
+    assert solve_power_in(ctx.sym("a") ** 3 - ctx.expr(Fraction(big**3, 8)), a) == ctx.expr(Fraction(big, 2))
+    assert solve_power_in(ctx.sym("a") ** 2 - ctx.expr(big**2 + 1), a) is None
+    assert solve_power_in(ctx.sym("a") ** 3 - ctx.expr(big**3 - 1), a) is None

@@ -191,15 +191,15 @@ def test_complete_to_involution():
     ctx, sp = one_dep_space()
     R = JetSystem(sp, {(0, (1, 0)): ctx.sym("u"), (0, (0, 1)): ctx.parse("x*u")}, 1)
     final, log = complete_to_involution(R, cap=5)
-    actions = [s["action"] for s in log.steps]
+    actions = [s["action"] for s in log]
     assert actions == ["conditions", "cartan-test"]
-    assert log.steps[0]["conditions"] == ["u"]
+    assert log[0]["conditions"] == ["u"]
     assert final.equations[(0, (0, 0))].is_zero()
 
     R2 = JetSystem(sp, {(0, (1, 0)): ctx.zero}, 1)
     final2, log2 = complete_to_involution(R2, cap=3)
-    assert [s["action"] for s in log2.steps] == ["cartan-test"]
-    assert log2.steps[0]["involutive"]
+    assert [s["action"] for s in log2] == ["cartan-test"]
+    assert log2[0]["involutive"]
 
     with pytest.raises(JetError):
         complete_to_involution(R, cap=0)
@@ -220,7 +220,7 @@ def test_one_prolongation_per_jet_loop(monkeypatch):
     ctx, sp = one_dep_space()
     R = JetSystem(sp, {(0, (1, 0)): ctx.sym("u"), (0, (0, 1)): ctx.parse("x*u")}, 1)
     _, log = complete_to_involution(R, cap=5)
-    loops = [s for s in log.steps if s["action"] != "prolong"]
+    loops = [s for s in log if s["action"] != "prolong"]
     assert len(calls) == len(loops) == 2
 
 

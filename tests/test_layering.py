@@ -1,14 +1,19 @@
-"""The polynomial format of the kernel stays inside ``exprs.py``.
+"""The polynomial format of the kernel stays inside ``exprs.py``, and every
+definition in the package has a user.
 
 Other modules use the public ``Expr`` views (``numerator``, ``coefficients``,
 ``linear_in``, ...) and never import a private kernel name or touch the raw
-numerator and denominator dicts.
+numerator and denominator dicts.  Every ``def`` and ``class`` in the package
+is referenced from the package, the tests, the demos or the benchmark (whose
+tracer names the functions it wraps in strings); an ``__all__`` entry alone
+does not count.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).parent.parent / "src" / "cartaneq"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "cartaneq"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "exprs.py")
 
 
@@ -31,3 +36,46 @@ def test_guard_catches_violations(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("from .exprs import Expr, _ONE\nfrom cartaneq.exprs import _plead\nn = e._num\nd = e._den\n")
     assert len(_violations(bad)) == 4
+
+
+def _unreferenced(defining: list[Path], using: list[Path]) -> list[str]:
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in using:
+        tree = ast.parse(path.read_text(), str(path))
+        exported = {
+            id(c)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for c in ast.walk(node.value)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in exported:
+                used.update(node.value.split("."))
+            elif path in defining and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno} {node.name}")
+    return sorted(where for name, where in defined.items() if name not in used)
+
+
+def test_no_dead_definitions():
+    using = [p for d in ("src", "tests", "demos", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert _unreferenced(sorted(PACKAGE.glob("*.py")), using) == []
+
+
+def test_dead_definition_guard(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        '__all__ = ["dead", "Traced"]\n'
+        "def dead(): pass\ndef used(): pass\nclass Traced:\n    def __init__(self): pass\n"
+        "    def method(self): pass\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text('used()\nTRACED = [("mod", "Traced.method")]\n')
+    assert _unreferenced([mod], [mod, user]) == ["mod.py:2 dead"]

@@ -1,10 +1,13 @@
 import json
+import random
+import re
 from pathlib import Path
 
 import pytest
 
 from cartaneq.cli import main
 from cartaneq.engine import Policy, run_loop
+from cartaneq.jets import crosscheck_characters
 from cartaneq.problems import ProblemFileError, load_problem, parse_problem_text
 from cartaneq.report import REPORT_SCHEMA, result_to_dict, result_to_json
 
@@ -79,6 +82,20 @@ def test_parse_errors_have_line_numbers():
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("line", ["max_loops = ten", "seed = 1.5", "target abc = 1/0"])
+def test_bad_policy_values_are_problem_file_errors(line, tmp_path):
+    text = (
+        "[coordinates]\nnames = x\n[coframe]\nA 1 1 = 1\n[group]\nparams =\nM 1 1 = 1\n"
+        f"[policy]\n{line}\n"
+    )
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_text(text)
+    assert err.value.line == 9
+    bad = tmp_path / "bad.prob"
+    bad.write_text(text)
+    assert main(["check", str(bad)]) == 1
+
+
 def test_cli_run_exit_codes(tmp_path):
     assert main(["run", str(PROBLEMS / "flat_gl2.prob")]) == 0
     assert main(["run", str(PROBLEMS / "toy_diag.prob")]) == 0
@@ -135,3 +152,16 @@ def test_report_schema_on_lagrangian():
     result = run_loop(problem, policy)
     jsonschema.validate(result_to_dict(result), REPORT_SCHEMA)
     assert result.outcome == "involutive"
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.prob")), ids=lambda p: p.stem)
+def test_entry_points_agree_on_first_loop_characters(path, capsys):
+    # run, characters and crosscheck take their first loop from the same stages
+    assert main(["characters", str(path)]) == 0
+    printed = re.search(r"s = (\(.*?\)), r2 = (\d+),", capsys.readouterr().out)
+    problem, policy = load_problem(path)
+    cc = crosscheck_characters(problem, random.Random(policy.seed))
+    problem, policy = load_problem(path)
+    first = run_loop(problem, policy).loops[0].characters
+    assert printed.group(1) == str(tuple(cc.engine_s)) == str(tuple(first.s))
+    assert int(printed.group(2)) == cc.engine_r2 == first.r2
