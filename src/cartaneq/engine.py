@@ -644,7 +644,7 @@ class LoopRecord:
     characters: CharacterReport
     action: str
     action_detail: dict
-    targets: dict[str, Fraction] = field(default_factory=dict)
+    targets: dict[str, Fraction]
 
 
 @dataclass
@@ -676,17 +676,18 @@ def run_loop(p: GStructureProblem, policy: Policy | None = None) -> EquivalenceR
     loops: list[LoopRecord] = []
     current = p
     initial_trivial = p.group.r == 0
+
+    def record(action: str, detail: dict, targets: dict[str, Fraction]):
+        # reads the current loop's stage values when called
+        loops.append(LoopRecord(
+            current.stage, current.n, current.group.r, data, sol, classification,
+            chars, action, detail, targets,
+        ))
+
     for _ in range(policy.max_loops):
         if current.group.r == 0 and not (initial_trivial and current.stage == p.stage):
             return EquivalenceResult(p, "e-structure", loops, current, policy=policy)
         data, sol, classification, chars = loop_stages(current, rng)
-
-        def record(action: str, detail: dict, targets: dict[str, Fraction]):
-            loops.append(LoopRecord(
-                current.stage, current.n, current.group.r, data, sol, classification,
-                chars, action, detail, targets,
-            ))
-
         if classification.genuine or not classification.full_rank:
             invs = [sol.torsion[i].expr for i in classification.genuine]
             record("halt", {"reason": "constant-type violation"}, {})

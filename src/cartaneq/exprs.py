@@ -178,11 +178,6 @@ def _mono_cmp(a: Mono, b: Mono) -> int:
     db = sum(e for _, e in b)
     if da != db:
         return -1 if da < db else 1
-    return _mono_lex_cmp(a, b)
-
-
-def _mono_lex_cmp(a: Mono, b: Mono) -> int:
-    """The tie-break of ``_mono_cmp`` between monomials of equal degree."""
     i = j = 0
     while i < len(a) and j < len(b):
         ka, kb = a[i][0].sort_key, b[j][0].sort_key
@@ -289,14 +284,11 @@ def _ppow(p: Poly, n: int) -> Poly:
 
 
 def _plead(p: Poly) -> tuple[Mono, Fraction]:
-    """The leading term under ``_mono_cmp``; each degree is summed once."""
     it = iter(p.items())
     best = next(it)
-    best_deg = sum(e for _, e in best[0])
     for item in it:
-        deg = sum(e for _, e in item[0])
-        if deg > best_deg or (deg == best_deg and _mono_lex_cmp(item[0], best[0]) > 0):
-            best, best_deg = item, deg
+        if _mono_cmp(item[0], best[0]) > 0:
+            best = item
     return best
 
 

@@ -10,7 +10,6 @@ not assumed.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,13 +91,10 @@ def _iroot(v: int, d: int) -> int | None:
     """The exact integer d-th root of v, or None when v is not a d-th power."""
     if v < 0:
         return None
-    if d == 2:
-        r = math.isqrt(v)
-    else:
-        r, hi = 0, 1 << (v.bit_length() // d + 1)  # bisect with r**d <= v < hi**d
-        while hi - r > 1:
-            mid = (r + hi) // 2
-            r, hi = (mid, hi) if mid**d <= v else (r, mid)
+    r, hi = 0, 1 << (v.bit_length() // d + 1)  # bisect with r**d <= v < hi**d
+    while hi - r > 1:
+        mid = (r + hi) // 2
+        r, hi = (mid, hi) if mid**d <= v else (r, mid)
     return r if r**d == v else None
 
 

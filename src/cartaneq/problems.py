@@ -149,7 +149,7 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
         if parts and parts[0] == "identity" and len(parts) == 2:
             try:
                 identity[ctx.get_symbol(parts[1])] = Fraction(value.strip())
-            except (ExprError, ValueError) as exc:
+            except (ExprError, ValueError, ZeroDivisionError) as exc:
                 raise ProblemFileError(str(exc), lineno) from None
             continue
         raise ProblemFileError(f"unrecognized group line {line!r}", lineno)

