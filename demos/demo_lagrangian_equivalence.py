@@ -11,7 +11,7 @@ of one variable and one function of two variables.
 
 from pathlib import Path
 
-from cartaneq.engine import Policy, run_loop
+from cartaneq.engine import run_loop
 from cartaneq.problems import load_problem
 from cartaneq.report import render_text
 

@@ -244,6 +244,17 @@ def _padd(p: Poly, q: Poly) -> Poly:
     return out
 
 
+def _paddmul(acc: Poly, p: Poly, m: Mono, c: Fraction) -> None:
+    """acc += c * m * p, in place."""
+    for pm, pc in p.items():
+        mm = _mono_mul(m, pm)
+        s = acc.get(mm, _ZERO) + c * pc
+        if s:
+            acc[mm] = s
+        else:
+            acc.pop(mm, None)
+
+
 def _pneg(p: Poly) -> Poly:
     return {m: -c for m, c in p.items()}
 
@@ -344,7 +355,7 @@ def _pdiv_exact(p: Poly, d: Poly) -> Poly:
         qm = _mono_div(rl_m, dl_m)
         qc = rl_c / dl_c
         out[qm] = out.get(qm, _ZERO) + qc
-        rem = _padd(rem, _pneg(_pmul({qm: qc}, d)))
+        _paddmul(rem, d, qm, -qc)
     return {m: c for m, c in out.items() if c}
 
 
@@ -499,8 +510,8 @@ def _pgcd(p: Poly, q: Poly) -> Poly:
     mp = _pmono_content(p)
     mq = _pmono_content(q)
     mg = _mono_gcd(mp, mq)
-    p1 = {_mono_div(m, mp): c for m, c in p.items()}
-    q1 = {_mono_div(m, mq): c for m, c in q.items()}
+    p1 = {_mono_div(m, mp): c for m, c in p.items()} if mp else p
+    q1 = {_mono_div(m, mq): c for m, c in q.items()} if mq else q
     if _pconst(p1) is not None or _pconst(q1) is not None:
         return _pmonic({mg: _ONE})
     shared = _patoms(p1) & _patoms(q1)
@@ -529,6 +540,70 @@ def _pgcd(p: Poly, q: Poly) -> Poly:
         a, b = b, _u_primitive(r)
     core = _from_univar(g, v)
     return _pmonic(_pmul(_pmul({mg: _ONE}, d), core))
+
+
+Fractional = tuple  # (num, den) pair of Polys; den is monic
+
+
+def _fraction_sum(terms: Sequence[tuple[Poly, Sequence[tuple[Fractional, int]]]]) -> Fractional:
+    """The sum over ``terms`` of ``p * prod((num/den)**k)``, as one unreduced
+    (num, den) pair.
+
+    The denominator is each distinct non-constant denominator raised to the
+    highest power any one term needs, so the caller canonicalizes the result
+    once.  Denominators are monic, so a constant one is 1."""
+    dens: dict[frozenset, Poly] = {}
+    key_of: dict[int, frozenset] = {}
+    need: dict[frozenset, int] = {}
+    needs = []
+    for _, factors in terms:
+        mine: dict[frozenset, int] = {}
+        for (_, den), k in factors:
+            if _pconst(den) is not None:
+                continue
+            key = key_of.get(id(den))
+            if key is None:
+                key = key_of[id(den)] = frozenset(den.items())
+                dens.setdefault(key, den)
+            mine[key] = mine.get(key, 0) + k
+        for key, k in mine.items():
+            if k > need.get(key, 0):
+                need[key] = k
+        needs.append(mine)
+
+    powers: dict[tuple[int, int], Poly] = {}
+
+    def power(p: Poly, k: int) -> Poly:
+        got = powers.get((id(p), k))
+        if got is None:
+            got = powers[(id(p), k)] = _ppow(p, k)
+        return got
+
+    num: Poly = {}
+    for (p, factors), mine in zip(terms, needs):
+        for (fnum, _), k in factors:
+            p = _pmul(p, power(fnum, k))
+        for key, k in need.items():
+            if mine.get(key, 0) < k:
+                p = _pmul(p, power(dens[key], k - mine.get(key, 0)))
+        _paddmul(num, p, (), _ONE)
+    den: Poly = {(): _ONE}
+    for key, k in need.items():
+        den = _pmul(den, power(dens[key], k))
+    return num, den
+
+
+def _partials(p: Poly, atoms) -> dict:
+    """The formal partial derivatives of ``p`` by each of ``atoms``."""
+    out: dict = {a: {} for a in atoms}
+    for m, c in p.items():
+        for idx, (atom, e) in enumerate(m):
+            acc = out.get(atom)
+            if acc is None:
+                continue
+            rest = m[:idx] + ((atom, e - 1),) + m[idx + 1:] if e > 1 else m[:idx] + m[idx + 1:]
+            acc[rest] = c * e  # distinct monomials have distinct quotients
+    return out
 
 
 class Context:
@@ -867,57 +942,59 @@ class Expr:
 
     # -- calculus ----------------------------------------------------------
 
-    def _atom_derivative(self, atom: Atom, s: Symbol) -> "Expr":
+    def derive(self, field: Mapping[Symbol, Scalar]) -> "Expr":
+        """Exact image under the derivation sum(field[s] * d/ds); opaque atoms
+        follow the chain rule.  The quotient rule runs on the polynomials, so
+        the result is canonicalized once, plus once per opaque atom image."""
         ctx = self.ctx
-        if isinstance(atom, Symbol):
-            return ctx.one if atom is s else ctx.zero
-        if s not in atom._free:
+        images: dict[Atom, Fractional | None] = {}
+        for s, v in field.items():
+            v = ctx.expr(v)
+            if v:
+                images[s] = (v._num, v._den)
+        moving = frozenset(images)
+        if moving.isdisjoint(self.free_symbols):
             return ctx.zero
-        total = ctx.zero
-        for k, arg in enumerate(atom.args):
-            darg = arg.diff(s)
-            if darg.is_zero():
-                continue
-            dv = list(atom.deriv)
-            dv[k] += 1
-            total = total + ctx.apply(atom.func, atom.args, dv) * darg
-        return total
 
-    def _poly_diff(self, poly: Poly, s: Symbol) -> "Expr":
-        ctx = self.ctx
-        total = ctx.zero
-        for m, c in poly.items():
-            for idx, (atom, e) in enumerate(m):
-                if isinstance(atom, Symbol):
-                    if atom is not s:
-                        continue
-                    datom = ctx.one
-                else:
-                    if s not in atom._free:
-                        continue
-                    datom = self._atom_derivative(atom, s)
-                    if datom.is_zero():
-                        continue
-                rest = list(m)
-                if e == 1:
-                    del rest[idx]
-                else:
-                    rest[idx] = (atom, e - 1)
-                term = Expr(ctx, {tuple(rest): c * e}, {(): _ONE})
-                total = total + term * datom
-        return total
+        def image(atom: Atom) -> Fractional | None:
+            """The derivative of an atom; None when it is zero."""
+            if atom in images:
+                return images[atom]
+            if isinstance(atom, Symbol) or atom._free.isdisjoint(moving):
+                return None
+            terms = []
+            for k, arg in enumerate(atom.args):
+                darg = parts(arg)
+                if darg[0]:
+                    dv = list(atom.deriv)
+                    dv[k] += 1
+                    terms.append(({((ctx.atom(atom.func, atom.args, dv), 1),): _ONE}, [(darg, 1)]))
+            img = Expr._make(ctx, *_fraction_sum(terms))
+            out = images[atom] = (img._num, img._den) if img else None
+            return out
+
+        def parts(e: Expr) -> Fractional:
+            num, den = e._num, e._den
+            moved = {a: img for a in e.atoms() if (img := image(a)) is not None}
+            if not moved:
+                return {}, {(): _ONE}
+            dnum = _partials(num, moved)
+            dden = _partials(den, moved)
+            # d(N/D) = sum over atoms a of d(a) * (N_a D - N D_a) / D^2
+            terms = []
+            for a, img in moved.items():
+                t = _pmul(dnum[a], den)
+                _paddmul(t, _pmul(num, dden[a]), (), -_ONE)
+                if t:
+                    terms.append((t, [(img, 1)]))
+            n, d = _fraction_sum(terms)
+            return n, _pmul(d, _pmul(den, den))
+
+        return Expr._make(ctx, *parts(self))
 
     def diff(self, s: Symbol) -> "Expr":
         """Exact partial derivative; opaque atoms follow the chain rule."""
-        if s not in self.free_symbols:
-            return self.ctx.zero
-        dn = self._poly_diff(self._num, s)
-        if _pconst(self._den) is not None:
-            return dn / self.ctx.expr(self._den[()])
-        dd = self._poly_diff(self._den, s)
-        num = Expr(self.ctx, self._num, {(): _ONE})
-        den = Expr(self.ctx, self._den, {(): _ONE})
-        return (dn * den - num * dd) / (den * den)
+        return self.derive({s: self.ctx.one})
 
     def subs(self, bindings: Mapping[Symbol, Scalar]) -> "Expr":
         """Simultaneous substitution of symbols by expressions."""
@@ -926,41 +1003,43 @@ class Expr:
         if not any(s in self.free_symbols for s in bound):
             return self
 
-        cache: dict[int, Expr] = {}
+        cache: dict[Atom, Fractional | None] = {}
 
-        def image(atom: Atom) -> Expr:
-            got = cache.get(id(atom))
-            if got is not None:
-                return got
+        def image(atom: Atom) -> Fractional | None:
+            """The image of a moved atom; None for one that stays."""
+            if atom in cache:
+                return cache[atom]
             if isinstance(atom, Symbol):
-                out = bound.get(atom)
-                if out is None:
-                    out = Expr.from_atom(ctx, atom)
+                v = bound.get(atom)
             elif atom._free.isdisjoint(bound):
-                out = Expr.from_atom(ctx, atom)
+                v = None
             else:
-                new_args = tuple(sub_expr(a) for a in atom.args)
-                out = ctx.apply(atom.func, new_args, atom.deriv)
-            cache[id(atom)] = out
+                v = ctx.apply(atom.func, tuple(sub_expr(a) for a in atom.args), atom.deriv)
+            out = cache[atom] = None if v is None else (v._num, v._den)
             return out
 
-        def sub_poly(poly: Poly) -> Expr:
-            total = ctx.zero
+        def sub_poly(poly: Poly) -> Fractional:
+            terms = []
             for m, c in poly.items():
-                term = ctx.expr(c)
+                kept = []
+                moved = []
                 for atom, e in m:
-                    term = term * image(atom) ** e
-                total = total + term
-            return total
+                    img = image(atom)
+                    if img is None:
+                        kept.append((atom, e))
+                    else:
+                        moved.append((img, e))
+                terms.append(({tuple(kept): c}, moved))
+            return _fraction_sum(terms)
 
         def sub_expr(e: Expr) -> Expr:
             if not any(s in e.free_symbols for s in bound):
                 return e
-            n = sub_poly(e._num)
-            d = sub_poly(e._den)
-            if d.is_zero():
+            nn, nd = sub_poly(e._num)
+            dn, dd = sub_poly(e._den)
+            if not dn:
                 raise SingularSubstitutionError("substitution makes a denominator vanish identically")
-            return n / d
+            return Expr._make(ctx, _pmul(nn, dd), _pmul(nd, dn))
 
         return sub_expr(self)
 

@@ -121,12 +121,10 @@ class JetSpace:
 
 def total_derivative(space: JetSpace, e: Expr, i: int) -> Expr:
     """D_i = d/dx^i + sum over jets u^a_J of u^a_{J,i} d/du^a_J."""
-    out = e.diff(space.independents[i])
+    field = {space.independents[i]: space.ctx.one}
     for (a, J) in space.jets_in(e):
-        partial = e.diff(space.jet(a, J))
-        if not partial.is_zero():
-            out = out + space.jet_expr(a, _shift(J, i)) * partial
-    return out
+        field[space.jet(a, J)] = space.jet_expr(a, _shift(J, i))
+    return e.derive(field)
 
 
 @dataclass

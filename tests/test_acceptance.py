@@ -4,12 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance here is exact equality.
 """
 
-import json
 import random
 import time
 from fractions import Fraction
-
-import pytest
 
 from cartaneq import Context
 from cartaneq.characters import reduced_characters

@@ -8,7 +8,6 @@ from cartaneq.engine import (
     EngineError,
     GStructureProblem,
     Policy,
-    ReductionNeeded,
     build_absorption,
     cartan_characters,
     classify_torsion,
@@ -19,7 +18,7 @@ from cartaneq.engine import (
     run_loop,
     solve_absorption,
 )
-from cartaneq.forms import Chart, Coframe, structure_functions
+from cartaneq.forms import Chart, Coframe
 from cartaneq.groups import ParamGroup
 
 from genutil import (

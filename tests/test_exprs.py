@@ -310,3 +310,90 @@ def test_pgcd_probe_agrees_with_full_euclid(g, a, b):
         assert exprs._pgcd(ga, gb) == probed
     if g:
         exprs._pdiv_exact(probed, g)  # raises unless g divides the gcd
+
+
+# exponents of x, y, z and f(x, y); x up to 2, so that terms need different
+# powers of the denominator x is bound to
+_SPEC = st.dictionaries(st.tuples(st.integers(0, 2), *[st.integers(0, 1)] * 3), _COEFF, min_size=1, max_size=3)
+# Bound values stay linear in each atom, with two terms: with three terms
+# some draws reach a gcd that the pseudo-remainder Euclid takes minutes over.
+_BOUND = st.dictionaries(st.tuples(*[st.integers(0, 1)] * 4), _COEFF, min_size=1, max_size=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SPEC, _SPEC, _BOUND, _BOUND, _BOUND)
+def test_subs_matches_termwise_reference(num, den, bx_num, bx_den, by):
+    # e is a fraction of polynomials in x, y, z and f(x, y); x and y are bound,
+    # z stays.  The reference substitutes monomial by monomial with Expr
+    # arithmetic, so every intermediate result is canonicalized.
+    ctx = Context()
+    x, y, z = ctx.declare_symbols(["x", "y", "z"], "coordinate")
+    f = ctx.declare_opaque("f", ["x", "y"])
+
+    def build(spec, atoms):
+        total = ctx.zero
+        for exps, c in spec.items():
+            term = ctx.expr(c)
+            for atom, e in zip(atoms, exps):
+                term = term * atom ** e
+            total = total + term
+        return total
+
+    plain = [ctx.expr(x), ctx.expr(y), ctx.expr(z), ctx.apply(f, [x, y])]
+    e_num, e_den = build(num, plain), build(den, plain)
+    bx_d = build(bx_den, plain)
+    if e_den.is_zero() or bx_d.is_zero():
+        return
+    e = e_num / e_den
+    bindings = {x: build(bx_num, plain) / bx_d, y: build(by, plain)}
+    images = [bindings[x], bindings[y], ctx.expr(z), ctx.apply(f, [bindings[x], bindings[y]])]
+    ref_den = build(den, images)
+    if ref_den.is_zero():  # a singular substitution; test_substitute_singular covers it
+        return
+    assert e.subs(bindings) == build(num, images) / ref_den
+
+
+def test_diff_is_the_limit_of_difference_quotients(ctx):
+    rng = random.Random(5)
+    h = ctx.declare_symbol("h", "auxiliary")
+    x = ctx.get_symbol("x")
+    atoms = [ctx.sym("x"), ctx.sym("y"), ctx.sym("z")]
+    shifted = {x: ctx.sym("x") + ctx.expr(h)}
+    for _ in range(40):
+        e = random_expr(ctx, rng, atoms, depth=3)
+        quotient = (e.subs(shifted) - e) / ctx.expr(h)
+        assert quotient.subs({h: 0}) == e.diff(x)
+
+
+def test_subs_diff_and_total_derivative_canonicalize_once(ctx, monkeypatch):
+    from cartaneq.jets import JetSpace, total_derivative
+
+    made = []
+    make = Expr._make
+
+    def counting(*args):
+        made.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(Expr, "_make", staticmethod(counting))
+    x, y, z = (ctx.get_symbol(n) for n in "xyz")
+    poly = ctx.parse("x^3*y - 2*x*y*z + z^2 + 7")
+    bound = {x: ctx.parse("y + z"), y: 2}
+    made.clear()
+    out = poly.subs(bound)
+    assert len(made) == 1
+    assert out == ctx.parse("2*(y + z)^3 - 4*(y + z)*z + z^2 + 7")
+
+    rational = ctx.parse("(x^2*y + z)/(x - y^2)")
+    made.clear()
+    out = rational.diff(x)
+    assert len(made) == 1
+    assert out == ctx.parse("((2*x*y)*(x - y^2) - (x^2*y + z))/(x - y^2)^2")
+
+    sp = JetSpace(ctx, [x], [ctx.get_symbol("u")])
+    e = ctx.parse("L_p(x,u,p)*u/(x + L(x,u,p)) + f(x,u)^2").subs({ctx.get_symbol("p"): sp.jet_expr(0, (1,))})
+    opaque = [a for a in e.atoms() if not isinstance(a, exprs.Symbol)]
+    assert len(opaque) == 3
+    made.clear()
+    total_derivative(sp, e, 0)
+    assert len(made) <= 1 + len(opaque)

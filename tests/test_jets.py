@@ -63,6 +63,22 @@ def test_total_derivative_through_opaque():
     assert out == expected
 
 
+def test_total_derivative_matches_termwise_definition_on_lagrangian():
+    # D_i = d/dx^i + sum over jets u^a_J of u^a_{J,i} d/du^a_J, summed one
+    # term at a time with Expr arithmetic
+    R = encode_gstructure(lagrangian_problem())
+    sp = R.space
+    assert R.equations
+    for F in R.equations.values():
+        for i, x_i in enumerate(sp.independents):
+            expected = F.diff(x_i)
+            for a, J in sp.jets_in(F):
+                J_i = list(J)
+                J_i[i] += 1
+                expected = expected + sp.jet_expr(a, tuple(J_i)) * F.diff(sp.jet(a, J))
+            assert total_derivative(sp, F, i) == expected
+
+
 def test_commutation_of_total_derivatives():
     rng = random.Random(13)
     ctx, sp = one_dep_space()
@@ -353,7 +369,6 @@ def test_character_basis_independence():
     # rational matrices leaves the characters unchanged
     rng = random.Random(17)
     from cartaneq.characters import reduced_characters
-    from cartaneq.linalg import mat_inverse
 
     ctx, sp = one_dep_space()
     R = JetSystem(sp, {(0, (1, 0)): sp.jet_expr(0, (0, 1)) * ctx.sym("x")}, 1)

@@ -6,7 +6,7 @@ Other modules use the public ``Expr`` views (``numerator``, ``coefficients``,
 numerator and denominator dicts.  Every ``def`` and ``class`` in the package
 is referenced from the package, the tests, the demos or the benchmark (whose
 tracer names the functions it wraps in strings); an ``__all__`` entry alone
-does not count.
+does not count.  Every imported name is loaded somewhere in its module.
 """
 
 import ast
@@ -79,3 +79,32 @@ def test_dead_definition_guard(tmp_path):
     user = tmp_path / "user.py"
     user.write_text('used()\nTRACED = [("mod", "Traced.method")]\n')
     assert _unreferenced([mod], [mod, user]) == ["mod.py:2 dead"]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    imported: dict[str, int] = {}
+    loaded: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for a in node.names:
+                imported.setdefault(a.asname or a.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.Name):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            loaded.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in loaded]
+
+
+def test_no_unused_imports():
+    paths = [p for d in ("src/cartaneq", "tests", "demos") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+def test_unused_import_guard(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from __future__ import annotations\nimport os.path\nimport json as j\n"
+        "from x import a, b, c\n__all__ = [\"b\"]\n\ndef f():\n    from y import d\n    return a\n"
+    )
+    assert _unused_imports(mod) == ["mod.py:2 os", "mod.py:3 j", "mod.py:4 c", "mod.py:8 d"]

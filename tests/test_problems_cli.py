@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from cartaneq.cli import main
-from cartaneq.engine import Policy, run_loop
+from cartaneq.engine import run_loop
 from cartaneq.problems import ProblemFileError, load_problem, parse_problem_text
 from cartaneq.report import REPORT_SCHEMA, result_to_dict, result_to_json
 
