@@ -8,6 +8,7 @@ same number of integrability conditions, the same count of free second-order
 parameters, and the same reduced Cartan characters.
 """
 
+import random
 from pathlib import Path
 
 from cartaneq.jets import crosscheck_characters, encode_gstructure
@@ -29,7 +30,7 @@ def main():
         else:
             print("encoded first-order system: no equations (the full diffeomorphism"
                   " pseudo-group)")
-        res = crosscheck_characters(problem)
+        res = crosscheck_characters(problem, random.Random(policy.seed))
         print(f"engine loop: r2 = {res.engine_r2}, s = {tuple(res.engine_s)}, "
               f"conditions = {res.engine_conditions}")
         print(f"jet loop:    r2 = {res.jet_r2}, s = {tuple(res.jet_s)}, "

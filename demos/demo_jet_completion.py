@@ -5,6 +5,8 @@ conditions, and Cartan's test decides involution from the reduced characters
 and the count of parametric higher-order jets.
 """
 
+import random
+
 from cartaneq import Context
 from cartaneq.jets import (
     JetSpace,
@@ -28,13 +30,13 @@ def main():
     conditions, reduced = project_integrability(prolonged)
     print("cross-derivative clash u_xy yields the condition:", conditions[0], "= 0")
     print("completed system:", ", ".join(reduced.pretty()))
-    final, log = complete_to_involution(R, cap=5)
+    final, log = complete_to_involution(R, random.Random(0), cap=5)
     for step in log:
         print("  ", step)
 
     print("\n-- an involutive system: u_x = 0 --")
     R2 = JetSystem(space, {(0, (1, 0)): ctx.zero}, 1)
-    ch = jet_characters(prolong_system(R2))
+    ch = jet_characters(prolong_system(R2), random.Random(0))
     print(f"characters s = {tuple(ch.s)}, parametric second-order count r2 = {ch.r2}")
     print(f"Cartan's test: {ch.r2} = 1*{ch.s[0]} + 2*{ch.s[1]} ->",
           "involutive" if ch.involutive else "prolong")

@@ -309,9 +309,8 @@ def _generic_point_for(exprs: Sequence[Expr], group: ParamGroup, rng: random.Ran
     raise EngineError("could not sample a generic point clear of all poles")
 
 
-def classify_torsion(sol: AbsorptionSolution, rng: random.Random | None = None) -> TorsionClassification:
+def classify_torsion(sol: AbsorptionSolution, rng: random.Random) -> TorsionClassification:
     """Tag residuals and test joint full rank in the group parameters."""
-    rng = rng or random.Random(0)
     group = sol.system.problem.group
     kinds: list[str] = []
     const_targets: dict[int, Fraction] = {}
@@ -356,7 +355,7 @@ def _solve_residual_for_param(e: Expr, params: Sequence[Symbol]) -> tuple[Symbol
         if a not in e.free_symbols:
             continue
         sol = solve_power_in(e, a)
-        if sol is not None and a not in sol.free_symbols:
+        if sol is not None:
             return a, sol
     return None
 
@@ -365,7 +364,7 @@ def reduce_group(
     p: GStructureProblem,
     sol: AbsorptionSolution,
     targets: dict[str, Fraction],
-    rng: random.Random | None = None,
+    rng: random.Random,
 ) -> GStructureProblem:
     """Normalize the group-dependent residuals to the target constants.
 
@@ -375,7 +374,6 @@ def reduce_group(
     coframe g(x) eta.
     """
     ctx = p.ctx
-    rng = rng or random.Random(0)
     classification = classify_torsion(sol, rng)
     if classification.genuine:
         raise ReductionNeeded(
@@ -486,10 +484,9 @@ def reduce_group(
 def cartan_characters(
     p: GStructureProblem,
     sol: AbsorptionSolution,
-    rng: random.Random | None = None,
+    rng: random.Random,
 ) -> CharacterReport:
     """Reduced characters from the constant F-table; test r2 = sum i s_i."""
-    rng = rng or random.Random(0)
     ctx = p.ctx
     n, r = p.n, p.group.r
     F = sol.system.data.mc.F

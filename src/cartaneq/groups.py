@@ -55,13 +55,16 @@ def normalize_sign(e: Expr) -> Expr:
 def solve_linear_in(e: Expr, atom) -> Expr | None:
     """Solve e = 0 for an atom occurring to degree exactly 1 in the numerator.
 
-    Returns the solution expression (free of the atom) or None when the
-    equation is not linear in it.
+    Returns a solution in which the atom does not occur, or None when the
+    equation is not linear in it.  The degree counts top-level occurrences
+    only, so an equation such as X - f(X, y) = 0, whose solution would keep X
+    inside the opaque argument, also gives None.
     """
     uni = e.coefficients(atom)
     if set(uni) - {0, 1} or 1 not in uni:
         return None
-    return -uni.get(0, e.ctx.zero) / uni[1]
+    sol = -uni.get(0, e.ctx.zero) / uni[1]
+    return None if atom in sol.free_symbols else sol
 
 
 def solve_power_in(e: Expr, atom) -> Expr | None:
@@ -293,11 +296,10 @@ def _random_point(g: ParamGroup, rng: random.Random) -> dict[Symbol, Fraction]:
     raise GroupError("could not sample a generic group element")
 
 
-def check_closure(g: ParamGroup, samples: int = 5, rng: random.Random | None = None) -> tuple[bool, list[str]]:
+def check_closure(g: ParamGroup, rng: random.Random, samples: int = 5) -> tuple[bool, list[str]]:
     """Sample pairs of elements and test that the product is in the group."""
     if samples < 1:
         raise GroupError("samples must be at least 1")
-    rng = rng or random.Random(0)
     notes: list[str] = []
     eqs = g.membership_eqs
     if eqs is None:

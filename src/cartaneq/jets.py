@@ -421,11 +421,10 @@ def complete_to_order(R: JetSystem) -> JetSystem:
     raise JetError("completion did not stabilize")
 
 
-def jet_characters(P: ProlongedSystem, rng: random.Random | None = None) -> CharacterReport:
+def jet_characters(P: ProlongedSystem, rng: random.Random) -> CharacterReport:
     """Reduced Cartan characters of the base system R = P.base at its order q,
     with the fiber dimension r^{q+1} read from its prolongation P, which the
     caller has already computed with ``prolong_system(R)``."""
-    rng = rng or random.Random(0)
     R = P.base
     space = R.space
     ctx = space.ctx
@@ -513,13 +512,12 @@ def _monitor_regularity(R: JetSystem, build_rows, report: CharacterReport, rng: 
         checked += 1
 
 
-def complete_to_involution(R: JetSystem, cap: int = 10, rng: random.Random | None = None) -> tuple[JetSystem, list[dict]]:
+def complete_to_involution(R: JetSystem, rng: random.Random, cap: int = 10) -> tuple[JetSystem, list[dict]]:
     """Algorithm: (a) adjoin integrability conditions until none appear,
     (b) compute reduced characters, (c) Cartan's test; prolong on failure.
     The log lists one dict per step, keyed by ``action``."""
     if cap < 1:
         raise JetError("cap must be at least 1")
-    rng = rng or random.Random(0)
     log: list[dict] = []
     current = complete_to_order(R)
     for _ in range(cap):
@@ -653,11 +651,11 @@ class CrosscheckResult:
     notes: list[str] = field(default_factory=list)
 
 
-def crosscheck_characters(p: GStructureProblem, rng: random.Random | None = None) -> CrosscheckResult:
+def crosscheck_characters(p: GStructureProblem, rng: random.Random) -> CrosscheckResult:
     """One loop of the equivalence engine against one loop of the jet
-    machinery on the encoded system: compare (r^2, characters, number of
-    independent new conditions)."""
-    rng = rng or random.Random(0)
+    machinery on the encoded system: compare r^2, the characters, and the
+    number of non-trivial engine torsion residuals against the number of
+    integrability conditions the jet projection adjoins."""
     _, sol, cls, chars = loop_stages(p, rng)
     ncond_engine = sum(1 for k in cls.kinds if k != "trivial")
 

@@ -1,4 +1,6 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+# the test helpers, and the benchmark's problem generator and tracer
+TESTS = Path(__file__).parent
+sys.path[:0] = [str(TESTS), str(TESTS.parent / "perfbench")]

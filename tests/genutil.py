@@ -1,77 +1,36 @@
-"""Shared builders and randomized generators for the test suite."""
+"""Problem loaders and randomized expression generators for the test suite.
+
+Every G-structure problem comes from `.prob` text, parsed and validated as
+`load_problem` does: the corpus under `problems/`, or a numbered draw of
+`perfbench/genprob.py`.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
-from cartaneq import Context
-from cartaneq.engine import GStructureProblem
-from cartaneq.forms import Chart, Coframe
-from cartaneq.groups import ParamGroup
+import genprob
+from cartaneq.problems import load_problem, parse_problem_text, validate_problem
 
-
-def lagrangian_problem():
-    ctx = Context()
-    x, u, p = ctx.declare_symbols(["x", "u", "p"], "coordinate")
-    ctx.declare_opaque("L", ["x", "u", "p"])
-    P = ctx.parse
-    Et = P("L_u(x,u,p) - L_xp(x,u,p) - p*L_up(x,u,p)")
-    chart = Chart(ctx, [x, u, p])
-    A = [
-        [ctx.one, ctx.zero, ctx.zero],
-        [P("-p"), ctx.one, ctx.zero],
-        [-Et, ctx.zero, P("L_pp(x,u,p)")],
-    ]
-    eta = Coframe(chart, ["e1", "e2", "e3"], A)
-    a = ctx.declare_symbols(["a1", "a2", "a3", "a4", "a5"], "group-parameter")
-    G = ParamGroup(
-        ctx,
-        3,
-        a,
-        [
-            [P("a1"), P("a2"), P("a3")],
-            [P("0"), P("a4"), P("0")],
-            [P("0"), P("a5"), P("1/a4")],
-        ],
-        {a[0]: 1, a[1]: 0, a[2]: 0, a[3]: 1, a[4]: 0},
-    )
-    return GStructureProblem(ctx, chart, eta, G, title="lagrangian")
+PROBLEMS = Path(__file__).parent.parent / "problems"
 
 
-def flat_identity_problem():
-    ctx = Context()
-    x, y = ctx.declare_symbols(["x", "y"], "coordinate")
-    chart = Chart(ctx, [x, y])
-    eta = Coframe(chart, ["e1", "e2"], [[ctx.one, ctx.zero], [ctx.zero, ctx.one]])
-    G = ParamGroup(ctx, 2, (), [[ctx.one, ctx.zero], [ctx.zero, ctx.one]], {})
-    return GStructureProblem(ctx, chart, eta, G, title="flat-identity")
+def corpus_problem(name: str):
+    """The problem of `problems/<name>.prob`."""
+    return load_problem(PROBLEMS / f"{name}.prob")[0]
 
 
-def flat_gl2_problem():
-    ctx = Context()
-    x, y = ctx.declare_symbols(["x", "y"], "coordinate")
-    chart = Chart(ctx, [x, y])
-    eta = Coframe(chart, ["e1", "e2"], [[ctx.one, ctx.zero], [ctx.zero, ctx.one]])
-    a = ctx.declare_symbols(["a11", "a12", "a21", "a22"], "group-parameter")
-    G = ParamGroup(
-        ctx,
-        2,
-        a,
-        [[ctx.sym("a11"), ctx.sym("a12")], [ctx.sym("a21"), ctx.sym("a22")]],
-        {a[0]: 1, a[1]: 0, a[2]: 0, a[3]: 1},
-    )
-    return GStructureProblem(ctx, chart, eta, G, title="flat-gl2")
+def problem_from_text(text: str):
+    problem, policy = parse_problem_text(text)
+    validate_problem(problem, policy)
+    return problem
 
 
-def toy_diag_problem():
-    ctx = Context()
-    x, y = ctx.declare_symbols(["x", "y"], "coordinate")
-    chart = Chart(ctx, [x, y])
-    eta = Coframe(chart, ["e1", "e2"], [[ctx.one, ctx.zero], [ctx.zero, ctx.sym("x")]])
-    a = ctx.declare_symbols(["a"], "group-parameter")
-    G = ParamGroup(ctx, 2, a, [[ctx.sym("a"), ctx.zero], [ctx.zero, ctx.one]], {a[0]: 1})
-    return GStructureProblem(ctx, chart, eta, G, title="toy-diag")
+def drawn_problem(seed: int):
+    """Draw `seed` of the benchmark's random problem generator."""
+    return problem_from_text(genprob.random_problem_text(seed))
 
 
 def random_fraction(rng: random.Random, lo: int = -6, hi: int = 6, nonzero: bool = False) -> Fraction:
@@ -109,107 +68,3 @@ def random_poly_expr(ctx, rng: random.Random, atoms, terms: int = 3, deg: int = 
             term = term * rng.choice(atoms)
         total = total + term
     return total
-
-
-def group_template(ctx, rng: random.Random, n: int) -> ParamGroup:
-    """A random member of a stock of genuine matrix-group parametrizations."""
-    P = ctx.parse
-    z, one = ctx.zero, ctx.one
-
-    def syms(names):
-        return ctx.declare_symbols(names, "group-parameter")
-
-    if n == 2:
-        kind = rng.randrange(6)
-        if kind == 0:  # full diagonal
-            a, b = syms(["ga", "gb"])
-            return ParamGroup(ctx, 2, (a, b), [[P("ga"), z], [z, P("gb")]], {a: 1, b: 1})
-        if kind == 1:  # scaling on the first leg
-            (a,) = syms(["ga"])
-            return ParamGroup(ctx, 2, (a,), [[P("ga"), z], [z, one]], {a: 1})
-        if kind == 2:  # unipotent
-            (a,) = syms(["ga"])
-            return ParamGroup(ctx, 2, (a,), [[one, P("ga")], [z, one]], {a: 0})
-        if kind == 3:  # Borel
-            a, b, c = syms(["ga", "gb", "gc"])
-            return ParamGroup(ctx, 2, (a, b, c), [[P("ga"), P("gb")], [z, P("gc")]], {a: 1, b: 0, c: 1})
-        if kind == 4:  # rotations + scalings (CO(2))
-            a, b = syms(["ga", "gb"])
-            return ParamGroup(ctx, 2, (a, b), [[P("ga"), P("-gb")], [P("gb"), P("ga")]], {a: 1, b: 0})
-        a, b, c, d = syms(["ga", "gb", "gc", "gd"])
-        return ParamGroup(
-            ctx, 2, (a, b, c, d), [[P("ga"), P("gb")], [P("gc"), P("gd")]], {a: 1, b: 0, c: 0, d: 1}
-        )
-    kind = rng.randrange(4)
-    if kind == 0:  # diagonal
-        a, b, c = syms(["ga", "gb", "gc"])
-        return ParamGroup(
-            ctx, 3, (a, b, c),
-            [[P("ga"), z, z], [z, P("gb"), z], [z, z, P("gc")]],
-            {a: 1, b: 1, c: 1},
-        )
-    if kind == 1:  # unipotent upper triangular
-        a, b, c = syms(["ga", "gb", "gc"])
-        return ParamGroup(
-            ctx, 3, (a, b, c),
-            [[one, P("ga"), P("gb")], [z, one, P("gc")], [z, z, one]],
-            {a: 0, b: 0, c: 0},
-        )
-    if kind == 2:  # the Lagrangian-shaped group
-        a = syms(["ga", "gb", "gc", "gd", "ge"])
-        return ParamGroup(
-            ctx, 3, tuple(a),
-            [[P("ga"), P("gb"), P("gc")], [z, P("gd"), z], [z, P("ge"), P("1/gd")]],
-            {a[0]: 1, a[1]: 0, a[2]: 0, a[3]: 1, a[4]: 0},
-        )
-    a, b = syms(["ga", "gb"])  # two commuting scalings
-    return ParamGroup(
-        ctx, 3, (a, b),
-        [[P("ga"), z, z], [z, P("gb"), z], [z, z, P("ga*gb")]],
-        {a: 1, b: 1},
-    )
-
-
-def random_coframe(ctx, rng: random.Random, chart, opaque_atoms=()) -> Coframe:
-    """A random generically invertible triangular coframe."""
-    n = chart.n
-    coords = [ctx.expr(c) for c in chart.coords]
-    atoms = coords + list(opaque_atoms)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j < i:
-                row.append(
-                    random_poly_expr(ctx, rng, atoms, terms=2, deg=1)
-                    if rng.random() < 0.5
-                    else ctx.zero
-                )
-            elif j == i:
-                diag = ctx.one if rng.random() < 0.4 else (
-                    rng.choice(atoms) if rng.random() < 0.5 else ctx.expr(random_fraction(rng, 1, 4, nonzero=True))
-                )
-                row.append(diag)
-            else:
-                row.append(ctx.zero)
-        rows.append(row)
-    cof = Coframe(chart, tuple(f"e{i + 1}" for i in range(n)), rows)
-    if cof.det().is_zero():
-        raise AssertionError("triangular coframe cannot be singular")
-    return cof
-
-
-def random_problem(rng: random.Random, n: int | None = None, with_opaque: bool = True):
-    """A random G-structure problem from the group templates."""
-    ctx = Context()
-    n = n or rng.choice([2, 2, 3])
-    names = ["x", "y", "w"][:n]
-    coords = ctx.declare_symbols(names, "coordinate")
-    chart = Chart(ctx, coords)
-    opaque = []
-    if with_opaque and rng.random() < 0.5:
-        f = ctx.declare_opaque("f", [c.name for c in coords])
-        opaque.append(ctx.apply(f, [ctx.expr(c) for c in coords]))
-    cof = random_coframe(ctx, rng, chart, opaque)
-    grp = group_template(ctx, rng, n)
-    return GStructureProblem(ctx, chart, cof, grp, title="random")

@@ -3,10 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from cartaneq import Context
 from cartaneq.engine import (
     EngineError,
-    GStructureProblem,
     Policy,
     build_absorption,
     cartan_characters,
@@ -18,36 +16,38 @@ from cartaneq.engine import (
     run_loop,
     solve_absorption,
 )
-from cartaneq.forms import Chart, Coframe
-from cartaneq.groups import ParamGroup
 
-from genutil import (
-    flat_gl2_problem,
-    flat_identity_problem,
-    lagrangian_problem,
-    toy_diag_problem,
-)
+from genutil import corpus_problem, problem_from_text
 
-
-def scaling_problem():
-    ctx = Context()
-    x, y = ctx.declare_symbols(["x", "y"], "coordinate")
-    chart = Chart(ctx, [x, y])
-    eta = Coframe(chart, ["e1", "e2"], [[ctx.one, ctx.zero], [ctx.zero, ctx.one]])
-    a = ctx.declare_symbols(["a"], "group-parameter")
-    G = ParamGroup(ctx, 2, a, [[ctx.sym("a"), ctx.zero], [ctx.zero, ctx.sym("a")]], {a[0]: 1})
-    return GStructureProblem(ctx, chart, eta, G, title="scaling")
+# scalar multiples of the identity on the flat coframe: one prolongation
+# reaches an e-structure
+SCALING = """
+[coordinates]
+names = x, y
+[coframe]
+A 1 1 = 1
+A 1 2 = 0
+A 2 1 = 0
+A 2 2 = 1
+[group]
+params = a
+M 1 1 = a
+M 1 2 = 0
+M 2 1 = 0
+M 2 2 = a
+identity a = 1
+"""
 
 
 def test_structure_data_flat():
-    p = flat_gl2_problem()
+    p = corpus_problem("flat_gl2")
     data = compute_structure_data(p)
     assert all(e.is_zero() for e in data.B.values())
     assert all(e.is_zero() for e in data.C.values())
 
 
 def test_structure_data_toy_c_value():
-    p = toy_diag_problem()
+    p = corpus_problem("toy_diag")
     data = compute_structure_data(p)
     ctx = p.ctx
     assert data.C[(1, 0, 1)] == 1 / (ctx.sym("a") * ctx.sym("x"))
@@ -55,7 +55,7 @@ def test_structure_data_toy_c_value():
 
 
 def test_structure_data_identity_compatibility_lagrangian():
-    p = lagrangian_problem()
+    p = corpus_problem("lagrangian")
     data = compute_structure_data(p)  # raises on violation
     ident = {s: p.ctx.expr(v) for s, v in p.group.identity_values.items()}
     for key, c in data.C.items():
@@ -64,24 +64,24 @@ def test_structure_data_identity_compatibility_lagrangian():
 
 def test_absorption_counting():
     # n = 2, r = 1: one equation pair (i, (1,2)) per i, two unknowns
-    p = toy_diag_problem()
+    p = corpus_problem("toy_diag")
     data = compute_structure_data(p)
     sys = build_absorption(p, data)
     assert len(sys.slots) == 2
     assert len(sys.unknowns) == 2
     # n = 3, r = 5: 9 equations in 15 unknowns
-    lag = lagrangian_problem()
+    lag = corpus_problem("lagrangian")
     sys2 = build_absorption(lag, compute_structure_data(lag))
     assert len(sys2.slots) == 9
     assert len(sys2.unknowns) == 15
     # r = 0: pure torsion
-    flat = flat_identity_problem()
+    flat = corpus_problem("flat_identity")
     sys3 = build_absorption(flat, compute_structure_data(flat))
     assert len(sys3.unknowns) == 0
 
 
 def test_solve_absorption_lagrangian_loop1():
-    p = lagrangian_problem()
+    p = corpus_problem("lagrangian")
     data = compute_structure_data(p)
     sol = solve_absorption(build_absorption(p, data))
     nontrivial = [t for t in sol.torsion if not t.expr.is_zero()]
@@ -93,8 +93,8 @@ def test_solve_absorption_lagrangian_loop1():
 def test_solution_satisfies_system():
     # substituting z = P z + Q (c - lhs) back satisfies every equation up to
     # the torsion rows, where the defect is exactly minus the residual
-    for maker in (toy_diag_problem, lagrangian_problem, flat_gl2_problem):
-        p = maker()
+    for name in ("toy_diag", "lagrangian", "flat_gl2"):
+        p = corpus_problem(name)
         ctx = p.ctx
         data = compute_structure_data(p)
         sys = build_absorption(p, data)
@@ -133,7 +133,7 @@ def test_solution_satisfies_system():
 
 
 def test_exact_mode_same_r2_and_P():
-    p = lagrangian_problem()
+    p = corpus_problem("lagrangian")
     data = compute_structure_data(p)
     solN = solve_absorption(build_absorption(p, data, "normalized"))
     solE = solve_absorption(build_absorption(p, data, "exact"))
@@ -143,36 +143,31 @@ def test_exact_mode_same_r2_and_P():
 
 
 def test_classify_torsion():
-    p = lagrangian_problem()
+    p = corpus_problem("lagrangian")
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
     cls = classify_torsion(sol, random.Random(0))
     kinds = sorted(cls.kinds)
     assert kinds == ["group-dependent", "trivial"]
     assert cls.full_rank
 
-    flat = flat_identity_problem()
+    flat = corpus_problem("flat_identity")
     sol2 = solve_absorption(build_absorption(flat, compute_structure_data(flat)))
-    assert all(k == "trivial" for k in classify_torsion(sol2).kinds)
+    assert all(k == "trivial" for k in classify_torsion(sol2, random.Random(0)).kinds)
 
 
 def test_classify_genuine_invariant():
-    ctx = Context()
-    x, y = ctx.declare_symbols(["x", "y"], "coordinate")
-    chart = Chart(ctx, [x, y])
-    eta = Coframe(chart, ["e1", "e2"], [[ctx.one, ctx.zero], [ctx.zero, ctx.sym("x")]])
-    G = ParamGroup(ctx, 2, (), [[ctx.one, ctx.zero], [ctx.zero, ctx.one]], {})
-    p = GStructureProblem(ctx, chart, eta, G)
+    p = corpus_problem("toy_genuine")
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
-    cls = classify_torsion(sol)
+    cls = classify_torsion(sol, random.Random(0))
     assert "genuine" in cls.kinds
 
 
 def test_reduce_group_lagrangian():
-    p = lagrangian_problem()
+    p = corpus_problem("lagrangian")
     ctx = p.ctx
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
     res = [t for t in sol.torsion if not t.expr.is_zero()][0]
-    red = reduce_group(p, sol, {res.label: Fraction(-1)})
+    red = reduce_group(p, sol, {res.label: Fraction(-1)}, random.Random(0))
     # adapted coframe ((1/L_pp) dx, du - p dx, -E dx + L_pp dp)
     Lpp = ctx.parse("L_pp(x,u,p)")
     assert red.coframe.transition[0][0] == 1 / Lpp
@@ -191,30 +186,30 @@ def test_reduce_group_lagrangian():
 
 
 def test_reduce_group_toy():
-    p = toy_diag_problem()
+    p = corpus_problem("toy_diag")
     ctx = p.ctx
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
     res = [t for t in sol.torsion if not t.expr.is_zero()][0]
     assert res.expr == ctx.parse("-1/(x*a)")
-    red = reduce_group(p, sol, {res.label: Fraction(-1)})
+    red = reduce_group(p, sol, {res.label: Fraction(-1)}, random.Random(0))
     assert red.group.r == 0
     assert red.coframe.transition[0][0] == 1 / ctx.sym("x")
     assert red.coframe.transition[1][1] == ctx.sym("x")
 
 
 def test_reduce_group_empty_is_identity():
-    p = flat_gl2_problem()
+    p = corpus_problem("flat_gl2")
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
-    assert reduce_group(p, sol, {}) is p
+    assert reduce_group(p, sol, {}, random.Random(0)) is p
 
 
 def test_reduction_soundness():
     # after reduction the residual slots of the new problem evaluate to the
     # chosen targets at the identity of the reduced group
-    p = lagrangian_problem()
+    p = corpus_problem("lagrangian")
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
     res = [t for t in sol.torsion if not t.expr.is_zero()][0]
-    red = reduce_group(p, sol, {res.label: Fraction(-1)})
+    red = reduce_group(p, sol, {res.label: Fraction(-1)}, random.Random(0))
     sol2 = solve_absorption(build_absorption(red, compute_structure_data(red)))
     consts = [t.expr.as_fraction() for t in sol2.torsion]
     assert Fraction(-1) in consts
@@ -222,29 +217,29 @@ def test_reduction_soundness():
 
 
 def test_characters_examples():
-    lag = lagrangian_problem()
+    lag = corpus_problem("lagrangian")
     sol = solve_absorption(build_absorption(lag, compute_structure_data(lag)))
-    ch = cartan_characters(lag, sol)
+    ch = cartan_characters(lag, sol, random.Random(0))
     assert ch.s == [3, 1, 1] and ch.r2 == 8
 
-    gl2 = flat_gl2_problem()
+    gl2 = corpus_problem("flat_gl2")
     sol2 = solve_absorption(build_absorption(gl2, compute_structure_data(gl2)))
-    ch2 = cartan_characters(gl2, sol2)
+    ch2 = cartan_characters(gl2, sol2, random.Random(0))
     assert ch2.s == [2, 2] and ch2.r2 == 6 and ch2.involutive
 
-    flat = flat_identity_problem()
+    flat = corpus_problem("flat_identity")
     sol3 = solve_absorption(build_absorption(flat, compute_structure_data(flat)))
-    ch3 = cartan_characters(flat, sol3)
+    ch3 = cartan_characters(flat, sol3, random.Random(0))
     assert ch3.s == [0, 0] and ch3.r2 == 0 and ch3.involutive
 
 
 def test_characters_lagrangian_loop2():
-    p = lagrangian_problem()
+    p = corpus_problem("lagrangian")
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
     res = [t for t in sol.torsion if not t.expr.is_zero()][0]
-    red = reduce_group(p, sol, {res.label: Fraction(-1)})
+    red = reduce_group(p, sol, {res.label: Fraction(-1)}, random.Random(0))
     sol2 = solve_absorption(build_absorption(red, compute_structure_data(red)))
-    ch = cartan_characters(red, sol2)
+    ch = cartan_characters(red, sol2, random.Random(0))
     assert sol2.r2 == 5
     assert ch.s == [3, 1, 0]
     assert ch.involutive  # 5 = 1*3 + 2*1 + 3*0
@@ -252,17 +247,17 @@ def test_characters_lagrangian_loop2():
 
 
 def test_prolong_refused_when_involutive():
-    p = flat_gl2_problem()
+    p = corpus_problem("flat_gl2")
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
-    ch = cartan_characters(p, sol)
+    ch = cartan_characters(p, sol, random.Random(0))
     with pytest.raises(EngineError):
         prolong(p, sol, ch)
 
 
 def test_prolong_dimensions_and_group():
-    p = scaling_problem()
+    p = problem_from_text(SCALING)
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
-    ch = cartan_characters(p, sol)
+    ch = cartan_characters(p, sol, random.Random(0))
     assert not ch.involutive and sol.r2 == 0
     pro = prolong(p, sol, ch)
     assert pro.n == p.n + p.group.r
@@ -273,7 +268,7 @@ def test_prolong_dimensions_and_group():
 
 def test_prolonged_group_abelian():
     rng = random.Random(12)
-    p = flat_gl2_problem()
+    p = corpus_problem("flat_gl2")
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
     g2 = prolonged_group(p, sol)
     assert g2.r == sol.r2
@@ -291,7 +286,7 @@ def test_prolonged_group_abelian():
 
 
 def test_run_loop_lagrangian():
-    res = run_loop(lagrangian_problem(), Policy(max_loops=6, seed=0))
+    res = run_loop(corpus_problem("lagrangian"), Policy(max_loops=6, seed=0))
     assert res.outcome == "involutive"
     assert [r.action for r in res.loops] == ["reduce", "involutive"]
     assert res.loops[1].characters.s == [3, 1, 0]
@@ -299,30 +294,26 @@ def test_run_loop_lagrangian():
 
 
 def test_run_loop_flat_identity_involutive():
-    res = run_loop(flat_identity_problem(), Policy(seed=0))
+    res = run_loop(corpus_problem("flat_identity"), Policy(seed=0))
     assert res.outcome == "involutive"
     assert res.loops[0].characters.s == [0, 0]
 
 
 def test_run_loop_toy_e_structure():
-    res = run_loop(toy_diag_problem(), Policy(seed=0))
+    res = run_loop(corpus_problem("toy_diag"), Policy(seed=0))
     assert res.outcome == "e-structure"
     assert res.final.group.r == 0
 
 
 def test_run_loop_genuine_invariant():
-    ctx = Context()
-    x, y = ctx.declare_symbols(["x", "y"], "coordinate")
-    chart = Chart(ctx, [x, y])
-    eta = Coframe(chart, ["e1", "e2"], [[ctx.one, ctx.zero], [ctx.zero, ctx.sym("x")]])
-    G = ParamGroup(ctx, 2, (), [[ctx.one, ctx.zero], [ctx.zero, ctx.one]], {})
-    res = run_loop(GStructureProblem(ctx, chart, eta, G), Policy(seed=0))
+    p = corpus_problem("toy_genuine")
+    res = run_loop(p, Policy(seed=0))
     assert res.outcome == "constant-type-violation"
-    assert res.invariants and res.invariants[0] == ctx.parse("-1/x")
+    assert res.invariants and res.invariants[0] == p.ctx.parse("-1/x")
 
 
 def test_run_loop_prolongs_scaling_to_e_structure():
-    res = run_loop(scaling_problem(), Policy(seed=0))
+    res = run_loop(problem_from_text(SCALING), Policy(seed=0))
     assert res.outcome == "e-structure"
     assert [r.action for r in res.loops] == ["prolong"]
     # monotone progress: chart dimension grew
@@ -330,12 +321,12 @@ def test_run_loop_prolongs_scaling_to_e_structure():
 
 
 def test_run_loop_cap():
-    res = run_loop(lagrangian_problem(), Policy(max_loops=0, seed=0))
+    res = run_loop(corpus_problem("lagrangian"), Policy(max_loops=0, seed=0))
     assert res.outcome == "cap-exceeded"
 
 
 def test_character_report_fields_every_loop():
-    res = run_loop(lagrangian_problem(), Policy(seed=0))
+    res = run_loop(corpus_problem("lagrangian"), Policy(seed=0))
     for rec in res.loops:
         assert rec.characters.r2 is not None
         assert isinstance(rec.characters.involutive, bool)

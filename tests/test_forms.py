@@ -17,7 +17,7 @@ from cartaneq.forms import (
     wedge,
 )
 
-from genutil import random_coframe, random_poly_expr
+from genutil import drawn_problem, random_poly_expr
 
 
 @pytest.fixture
@@ -179,16 +179,15 @@ def test_structure_functions_of_random_coordinate_coframes():
 
 def test_rewrite_round_trip_randomized():
     rng = random.Random(7)
-    for _ in range(25):
-        ctx = Context()
-        coords = ctx.declare_symbols(["x", "y"], "coordinate")
-        chart = Chart(ctx, coords)
+    for seed in range(25):
+        target = drawn_problem(seed).coframe
+        chart = target.chart
+        ctx = chart.ctx
         cc = coordinate_coframe(chart)
-        target = random_coframe(ctx, rng, chart)
-        atoms = [ctx.expr(c) for c in coords]
+        atoms = [ctx.expr(c) for c in chart.coords]
         form = DiffForm(2, cc, {(0, 1): random_poly_expr(ctx, rng, atoms)})
         assert rewrite_in_coframe(rewrite_in_coframe(form, target), cc) == form
-        one_form = DiffForm(1, cc, {(i,): random_poly_expr(ctx, rng, atoms) for i in range(2)})
+        one_form = DiffForm(1, cc, {(i,): random_poly_expr(ctx, rng, atoms) for i in range(chart.n)})
         assert rewrite_in_coframe(rewrite_in_coframe(one_form, target), cc) == one_form
 
 

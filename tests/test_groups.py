@@ -13,10 +13,11 @@ from cartaneq.groups import (
     recover_params,
     right_mc,
     slot_symbols,
+    solve_linear_in,
     solve_power_in,
 )
 
-from genutil import group_template, lagrangian_problem
+from genutil import corpus_problem, drawn_problem
 
 
 def diag_recip_group():
@@ -35,7 +36,7 @@ def test_group_inverse_examples():
     inv2 = group_inverse(ident)
     assert inv2[0][0] == 1 and inv2[0][1].is_zero()
 
-    lag = lagrangian_problem()
+    lag = corpus_problem("lagrangian")
     inv3 = group_inverse(lag.group)
     c = lag.ctx
     assert inv3[0][0] == c.parse("1/a1")
@@ -94,10 +95,9 @@ def test_right_mc_lagrangian_reduced_group():
 
 
 def test_mc_reconstruction_and_identity_pattern():
-    rng = random.Random(11)
-    for _ in range(25):
-        ctx = Context()
-        g = group_template(ctx, rng, rng.choice([2, 3]))
+    for seed in range(25):
+        g = drawn_problem(seed).group
+        ctx = g.ctx
         mc = right_mc(g)
         ident = {s: ctx.expr(v) for s, v in g.identity_values.items()}
         for i in range(g.n):
@@ -139,7 +139,7 @@ def test_check_closure():
     ok2, _ = check_closure(unip, samples=4, rng=random.Random(1))
     assert ok2
 
-    lag = lagrangian_problem()
+    lag = corpus_problem("lagrangian")
     ok3, _ = check_closure(lag.group, samples=4, rng=random.Random(2))
     assert ok3
 
@@ -152,7 +152,7 @@ def test_check_closure():
 
 
 def test_recover_params_and_membership():
-    lag = lagrangian_problem()
+    lag = corpus_problem("lagrangian")
     ctx = lag.ctx
     plan = recover_params(lag.group)
     slots = slot_symbols(ctx, 3)
@@ -161,6 +161,14 @@ def test_recover_params_and_membership():
     mem = derive_membership(lag.group)
     printed = sorted(str(e) for e in mem)
     assert printed == ["g21", "g22*g33 - 1", "g23", "g31"]
+
+
+def test_solve_linear_in_refuses_the_atom_inside_an_opaque_argument():
+    ctx = Context()
+    X, y = ctx.declare_symbols(["X", "y"], "coordinate")
+    ctx.declare_opaque("f", ["X", "y"])
+    assert solve_linear_in(ctx.parse("X - f(X, y)"), X) is None
+    assert solve_linear_in(ctx.parse("X - f(y, y)"), X) == ctx.parse("f(y, y)")
 
 
 def test_solve_power_in_exact_integer_roots():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cartaneq import Context, jets
+from cartaneq.cli import main
 from cartaneq.jets import (
     InconsistentSystemError,
     JetError,
@@ -22,13 +23,8 @@ from cartaneq.jets import (
     total_derivative,
 )
 
-from genutil import (
-    flat_gl2_problem,
-    flat_identity_problem,
-    lagrangian_problem,
-    random_expr,
-    toy_diag_problem,
-)
+import genprob
+from genutil import corpus_problem, drawn_problem, random_expr
 
 
 def one_dep_space():
@@ -66,7 +62,7 @@ def test_total_derivative_through_opaque():
 def test_total_derivative_matches_termwise_definition_on_lagrangian():
     # D_i = d/dx^i + sum over jets u^a_J of u^a_{J,i} d/du^a_J, summed one
     # term at a time with Expr arithmetic
-    R = encode_gstructure(lagrangian_problem())
+    R = encode_gstructure(corpus_problem("lagrangian"))
     sp = R.space
     assert R.equations
     for F in R.equations.values():
@@ -184,41 +180,41 @@ def test_complete_to_order_paper_degenerate_example():
             J[i] += 1
             cand = done.reduce(sp.jet_expr(a, tuple(J)) - total_derivative(sp, F, i))
             assert cand.is_zero()
-    ch = jet_characters(prolong_system(done))
+    ch = jet_characters(prolong_system(done), random.Random(0))
     assert ch.s == [0, 0, 0] and ch.r2 == 0 and ch.involutive
 
 
 def test_jet_characters_examples():
     ctx, sp = one_dep_space()
     R = JetSystem(sp, {(0, (1, 0)): ctx.zero}, 1)
-    ch = jet_characters(prolong_system(R))
+    ch = jet_characters(prolong_system(R), random.Random(0))
     assert ch.s == [1, 0] and ch.r2 == 1 and ch.involutive
 
     free = JetSystem(sp, {}, 1)
-    ch2 = jet_characters(prolong_system(free))
+    ch2 = jet_characters(prolong_system(free), random.Random(0))
     assert ch2.s == [1, 1] and ch2.r2 == 3 and ch2.involutive
 
     det = JetSystem(sp, {(0, (1, 0)): ctx.zero, (0, (0, 1)): ctx.zero}, 1)
-    ch3 = jet_characters(prolong_system(det))
+    ch3 = jet_characters(prolong_system(det), random.Random(0))
     assert ch3.s == [0, 0] and ch3.r2 == 0 and ch3.involutive
 
 
 def test_complete_to_involution():
     ctx, sp = one_dep_space()
     R = JetSystem(sp, {(0, (1, 0)): ctx.sym("u"), (0, (0, 1)): ctx.parse("x*u")}, 1)
-    final, log = complete_to_involution(R, cap=5)
+    final, log = complete_to_involution(R, random.Random(0), cap=5)
     actions = [s["action"] for s in log]
     assert actions == ["conditions", "cartan-test"]
     assert log[0]["conditions"] == ["u"]
     assert final.equations[(0, (0, 0))].is_zero()
 
     R2 = JetSystem(sp, {(0, (1, 0)): ctx.zero}, 1)
-    final2, log2 = complete_to_involution(R2, cap=3)
+    final2, log2 = complete_to_involution(R2, random.Random(0), cap=3)
     assert [s["action"] for s in log2] == ["cartan-test"]
     assert log2[0]["involutive"]
 
     with pytest.raises(JetError):
-        complete_to_involution(R, cap=0)
+        complete_to_involution(R, random.Random(0), cap=0)
 
 
 def test_one_prolongation_per_jet_loop(monkeypatch):
@@ -229,19 +225,19 @@ def test_one_prolongation_per_jet_loop(monkeypatch):
         return prolong_system(R)
 
     monkeypatch.setattr(jets, "prolong_system", counting)
-    assert crosscheck_characters(toy_diag_problem()).equal
+    assert crosscheck_characters(corpus_problem("toy_diag"), random.Random(0)).equal
     assert len(calls) == 1
 
     calls.clear()
     ctx, sp = one_dep_space()
     R = JetSystem(sp, {(0, (1, 0)): ctx.sym("u"), (0, (0, 1)): ctx.parse("x*u")}, 1)
-    _, log = complete_to_involution(R, cap=5)
+    _, log = complete_to_involution(R, random.Random(0), cap=5)
     loops = [s for s in log if s["action"] != "prolong"]
     assert len(calls) == len(loops) == 2
 
 
 def test_encode_flat_identity():
-    p = flat_identity_problem()
+    p = corpus_problem("flat_identity")
     R = encode_gstructure(p)
     sp = R.space
     assert R.equations[(0, (1, 0))] == p.ctx.one
@@ -251,13 +247,13 @@ def test_encode_flat_identity():
 
 
 def test_encode_gl2_empty():
-    p = flat_gl2_problem()
+    p = corpus_problem("flat_gl2")
     R = encode_gstructure(p)
     assert R.equations == {}
 
 
 def test_encode_lagrangian_reproduces_the_four_equation_system():
-    p = lagrangian_problem()
+    p = corpus_problem("lagrangian")
     ctx = p.ctx
     R = encode_gstructure(p)
     assert len(R.equations) == 4
@@ -317,7 +313,7 @@ def _five_system_corpus():
     ctx3, sp3 = one_dep_space()
     out.append(JetSystem(sp3, {(0, (1, 0)): sp3.jet_expr(0, (0, 1))}, 1))
     # the encoded toy problem (rational right sides)
-    out.append(encode_gstructure(toy_diag_problem()))
+    out.append(encode_gstructure(corpus_problem("toy_diag")))
     # two dependents with one clash condition
     ctx5 = Context()
     x5, y5 = ctx5.declare_symbols(["x", "y"], "coordinate")
@@ -372,7 +368,7 @@ def test_character_basis_independence():
 
     ctx, sp = one_dep_space()
     R = JetSystem(sp, {(0, (1, 0)): sp.jet_expr(0, (0, 1)) * ctx.sym("x")}, 1)
-    base = jet_characters(prolong_system(R))
+    base = jet_characters(prolong_system(R), random.Random(0))
 
     # reproduce the gamma-system and transform it
     prin = R.principal()
@@ -416,9 +412,27 @@ def test_character_basis_independence():
 
 
 def test_crosscheck_all_four_problems():
-    for maker in (flat_identity_problem, flat_gl2_problem, toy_diag_problem, lagrangian_problem):
-        res = crosscheck_characters(maker())
-        assert res.equal, (maker.__name__, res)
+    for name in ("flat_identity", "flat_gl2", "toy_diag", "lagrangian"):
+        res = crosscheck_characters(corpus_problem(name), random.Random(0))
+        assert res.equal, (name, res)
+
+
+@pytest.mark.parametrize("seed", [5, 38])
+def test_implicit_condition_is_refused_not_looped(seed, tmp_path):
+    # the jet projection meets a condition X = f(X, ...) that no jet solves,
+    # where the engine finds a genuine invariant; solving it anyway nested f
+    # without end
+    with pytest.raises(JetError, match="cannot solve integrability condition"):
+        crosscheck_characters(drawn_problem(seed), random.Random(0))
+    path = tmp_path / f"random-{seed}.prob"
+    path.write_text(genprob.random_problem_text(seed))
+    assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.xfail(strict=True, reason="engine counts 2 conditions, jets 1; ROADMAP item 2")
+@pytest.mark.parametrize("seed", [19, 34])
+def test_crosscheck_condition_count_on_mixed_residuals(seed):
+    assert crosscheck_characters(drawn_problem(seed), random.Random(0)).equal
 
 
 def test_solved_form_rejects_circular():

@@ -6,11 +6,16 @@ Other modules use the public ``Expr`` views (``numerator``, ``coefficients``,
 numerator and denominator dicts.  Every ``def`` and ``class`` in the package
 is referenced from the package, the tests, the demos or the benchmark (whose
 tracer names the functions it wraps in strings); an ``__all__`` entry alone
-does not count.  Every imported name is loaded somewhere in its module.
+does not count.  Every imported name is loaded somewhere in its module, and
+every function the benchmark's tracer names still exists.
 """
 
 import ast
+import importlib
+import sys
 from pathlib import Path
+
+import tracer
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "cartaneq"
@@ -108,3 +113,30 @@ def test_unused_import_guard(tmp_path):
         "from x import a, b, c\n__all__ = [\"b\"]\n\ndef f():\n    from y import d\n    return a\n"
     )
     assert _unused_imports(mod) == ["mod.py:2 os", "mod.py:3 j", "mod.py:4 c", "mod.py:8 d"]
+
+
+def test_tracer_names_resolve():
+    # the benchmark's tracer finds every function it names, wraps it, and
+    # uninstall() puts back the original in every module that binds it
+    def traced():
+        out = []
+        for layer, _, path in tracer.TRACED:
+            owner = importlib.import_module(f"cartaneq.{layer}")
+            *cls, attr = path.split(".")
+            out.append(vars(getattr(owner, cls[0]) if cls else owner)[attr])
+        return out
+
+    def bindings():
+        modules = [m for name, m in list(sys.modules.items()) if name.startswith("cartaneq")]
+        return {(m.__name__, k): v for m in modules for k, v in vars(m).items()}
+
+    originals, bound = traced(), bindings()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        wrapped = traced()
+    finally:
+        t.uninstall()
+    assert all(w is not o for w, o in zip(wrapped, originals))
+    assert all(a is b for a, b in zip(traced(), originals))
+    assert all(bindings()[key] is value for key, value in bound.items())
