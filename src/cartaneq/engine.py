@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .characters import CharacterReport, reduced_characters
 from .exprs import Context, Expr, ExprError, PoleError, Symbol
-from .forms import Chart, Coframe, DiffForm, rewrite_in_coframe, structure_functions
+from .forms import Chart, Coframe, DiffForm, rewrite_by, structure_functions
 from .groups import (
     MCBasis,
     ParamGroup,
@@ -113,6 +113,7 @@ def residual_label(e: Expr) -> str:
 def compute_structure_data(p: GStructureProblem) -> StructureData:
     """Structure functions B of eta, torsion sources C of g d(eta) in the
     g-eta coframe, and the Maurer-Cartan basis; checks C(x, identity) = B(x).
+    As eta = g^{-1} (g eta), C uses the g^{-1} of `right_mc`, not (g A)^{-1}.
     """
     ctx = p.ctx
     n = p.n
@@ -131,7 +132,7 @@ def compute_structure_data(p: GStructureProblem) -> StructureData:
                     acc = acc + p.group.entries[i][m] * B[(m, j, k)]
                 if not acc.is_zero():
                     coeffs[(j, k)] = acc
-        gde = rewrite_in_coframe(DiffForm(2, p.coframe, coeffs), g_coframe)
+        gde = rewrite_by(DiffForm(2, p.coframe, coeffs), mc.inverse, g_coframe)
         for j in range(n):
             for k in range(j + 1, n):
                 C[(i, j, k)] = gde.coeff(j, k)

@@ -22,6 +22,7 @@ __all__ = [
     "coordinate_coframe",
     "wedge",
     "exterior_derivative",
+    "rewrite_by",
     "rewrite_in_coframe",
     "structure_functions",
     "interior_product",
@@ -85,9 +86,10 @@ class Coframe:
 
     def inverse(self):
         if self._inverse is None:
-            if self.det().is_zero():
-                raise SingularMatrixError("coframe transition matrix is singular")
-            self._inverse = mat_inverse(self.transition)
+            try:
+                self._inverse = mat_inverse(self.transition)
+            except SingularMatrixError:
+                raise SingularMatrixError("coframe transition matrix is singular") from None
         return self._inverse
 
     def element(self, i: int) -> "DiffForm":
@@ -247,9 +249,13 @@ def rewrite_in_coframe(a: DiffForm, target: Coframe) -> DiffForm:
         raise FormError("coframes live on different charts")
     if a.coframe == target:
         return a
-    ctx = a.ctx
     # theta_a = S . theta_target with S = T_a T_target^{-1}
-    S = mat_mul(a.coframe.transition, target.inverse())
+    return rewrite_by(a, mat_mul(a.coframe.transition, target.inverse()), target)
+
+
+def rewrite_by(a: DiffForm, S: Sequence[Sequence[Expr]], target: Coframe) -> DiffForm:
+    """The form ``a`` in ``target``, given S with theta_a = S . theta_target."""
+    ctx = a.ctx
     if a.degree == 0:
         return DiffForm(0, target, dict(a.coeffs))
     if a.degree == 1:

@@ -168,6 +168,7 @@ class MCBasis:
     ``coeff_rows[(i, j)]`` is the coefficient vector of the (i,j) entry of
     dg g^{-1} against the parameter differentials da_1..da_r, and
     ``F[(i, j)]`` the rational constants with entry = sum_k F^{ij}_k alpha^k.
+    ``inverse`` is g^{-1}, also the change of basis from eta to g eta.
     """
 
     group: ParamGroup
@@ -175,6 +176,7 @@ class MCBasis:
     alpha_coeffs: list[list[Expr]]
     coeff_rows: dict[tuple[int, int], list[Expr]]
     F: dict[tuple[int, int], tuple[Fraction, ...]]
+    inverse: list[list[Expr]]
 
     @property
     def r(self) -> int:
@@ -198,9 +200,9 @@ def right_mc(g: ParamGroup) -> MCBasis:
     independent over the function field.
     """
     ctx = g.ctx
-    if g.r == 0:
-        return MCBasis(g, [], [], {(i, j): [] for i in range(g.n) for j in range(g.n)}, {(i, j): () for i in range(g.n) for j in range(g.n)})
     inv = group_inverse(g)
+    if g.r == 0:
+        return MCBasis(g, [], [], {(i, j): [] for i in range(g.n) for j in range(g.n)}, {(i, j): () for i in range(g.n) for j in range(g.n)}, inv)
     coeff_rows: dict[tuple[int, int], list[Expr]] = {}
     ident_rows: dict[tuple[int, int], list[Fraction]] = {}
     id_binds = {s: ctx.expr(v) for s, v in g.identity_values.items()}
@@ -278,7 +280,7 @@ def right_mc(g: ParamGroup) -> MCBasis:
             if not (acc - w[t]).is_zero():
                 raise GroupError(f"Maurer-Cartan reconstruction failed at entry {slot}")
         F[slot] = tuple(fs)
-    return MCBasis(g, slots, alpha_coeffs, coeff_rows, F)
+    return MCBasis(g, slots, alpha_coeffs, coeff_rows, F, inv)
 
 
 def _random_point(g: ParamGroup, rng: random.Random) -> dict[Symbol, Fraction]:

@@ -22,7 +22,7 @@ from .characters import CharacterReport, reduced_characters
 from .engine import GStructureProblem, loop_stages, target_symbol
 from .exprs import Context, Expr, ExprError, PoleError, Symbol
 from .groups import membership_equations, slot_symbols, solve_linear_in
-from .linalg import eliminate, identity_matrix, mat_inverse, mat_mul, row_reduce, symbolic_rank
+from .linalg import eliminate, identity_matrix, mat_mul, row_reduce, symbolic_rank
 
 __all__ = [
     "JetError",
@@ -551,7 +551,7 @@ def encode_gstructure(p: GStructureProblem) -> JetSystem:
 
     A = p.coframe.transition
     A_target = [[e.subs(tmap) for e in row] for row in A]
-    A_inv = mat_inverse(A)
+    A_inv = p.coframe.inverse()
     jac = [[space.jet_expr(a, _shift((0,) * n, i)) for i in range(n)] for a in range(n)]
     M = mat_mul(mat_mul(A_target, jac), A_inv)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -9,7 +10,8 @@ from cartaneq.engine import run_loop
 from cartaneq.problems import ProblemFileError, load_problem, parse_problem_text
 from cartaneq.report import REPORT_SCHEMA, result_to_dict, result_to_json
 
-PROBLEMS = Path(__file__).parent.parent / "problems"
+ROOT = Path(__file__).parent.parent
+PROBLEMS = ROOT / "problems"
 
 
 def test_load_lagrangian():
@@ -159,3 +161,19 @@ def test_report_schema_on_lagrangian():
     jsonschema.validate(result_to_dict(result), REPORT_SCHEMA)
     assert result.outcome == "involutive"
 
+
+def test_corpus_run_outputs_match_benchmark_recording(tmp_path, monkeypatch, capsys):
+    # the requests of the corpus-run benchmark, digested as perfbench/run.py
+    # does: a byte drift in a report, a characters table or an exit code fails here
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())["corpus-run"]
+    monkeypatch.chdir(ROOT)
+    for path in sorted(Path("problems").glob("*.prob")):
+        report = tmp_path / f"{path.stem}.json"
+        for argv in (["run", str(path), "--json", str(report)], ["characters", str(path)]):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            h = hashlib.sha256(f"exit {code}\n".encode())
+            h.update(report.read_bytes() if argv[0] == "run" else out.encode())
+            h.update(err.encode())
+            want = expected[f"{argv[0]} {path.stem}"]
+            assert (code, h.hexdigest()) == (want["exit"], want["digest"]), argv
