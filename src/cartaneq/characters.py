@@ -32,6 +32,8 @@ class CharacterReport:
     r2: int | None = None
     involutive: bool | None = None
     notes: list[str] = field(default_factory=list)
+    # the rows whose rank is r_n: the system stacked over the directions _dir{k}_{t}
+    stacked_rows: list[list[Expr]] = field(default_factory=list, repr=False)
 
     def cartan_sum(self) -> int:
         return sum((i + 1) * si for i, si in enumerate(self.s))
@@ -98,4 +100,4 @@ def reduced_characters(
             )
         witnesses.append(witness)
         prev_rank = rk
-    return CharacterReport(s, ranks, witnesses, notes=notes)
+    return CharacterReport(s, ranks, witnesses, notes=notes, stacked_rows=sym_rows)

@@ -27,7 +27,7 @@ from .groups import (
     slot_symbols,
     solve_power_in,
 )
-from .linalg import eliminate, mat_mul, symbolic_rank
+from .linalg import eliminate, generic_points, mat_mul, symbolic_rank
 
 __all__ = [
     "EngineError",
@@ -282,32 +282,17 @@ class TorsionClassification:
         return [i for i, k in enumerate(self.kinds) if k == "group-dependent"]
 
 
-def _generic_point_for(exprs: Sequence[Expr], group: ParamGroup, rng: random.Random,
-                       positive: bool = False) -> dict:
-    """A random rational point binding every atom, params near the identity."""
-    atoms = []
-    seen = set()
-    for e in exprs:
-        for a in e.atoms():
-            if id(a) not in seen:
-                seen.add(id(a))
-                atoms.append(a)
-    for _ in range(80):
-        point = {}
-        for a in atoms:
-            if isinstance(a, Symbol) and a in group.identity_values:
-                point[a] = group.identity_values[a] + Fraction(rng.randint(-4, 4), rng.randint(2, 5))
-            elif positive:
-                point[a] = Fraction(rng.randint(1, 9), rng.randint(1, 3))
-            else:
-                point[a] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3))
-        try:
-            for e in exprs:
-                e.eval_at(point)
-        except PoleError:
-            continue
-        return point
+def _first_point(points):
+    """The first sampled ``(point, values)``; an error when every draw hit a pole."""
+    for hit in points:
+        return hit
     raise EngineError("could not sample a generic point clear of all poles")
+
+
+def _parameter_rank(grads: list[list[Expr]], group: ParamGroup, rng: random.Random) -> int:
+    """Rank of a parameter Jacobian at a generic point, parameters near the identity."""
+    _, numeric = _first_point(generic_points(grads, rng, center=group.identity_values))
+    return symbolic_rank(numeric)
 
 
 def classify_torsion(sol: AbsorptionSolution, rng: random.Random) -> TorsionClassification:
@@ -338,9 +323,7 @@ def classify_torsion(sol: AbsorptionSolution, rng: random.Random) -> TorsionClas
             genuine.append(idx)
     full_rank = True
     if grads:
-        point = _generic_point_for([g for row in grads for g in row], group, rng)
-        numeric = [[g.eval_at(point) for g in row] for row in grads]
-        rank = symbolic_rank(numeric)
+        rank = _parameter_rank(grads, group, rng)
         full_rank = rank == len(grads)
         if not full_rank:
             notes.append(
@@ -391,8 +374,7 @@ def reduce_group(
     # generic group element (right translation makes this the same rank
     # condition as at the identity-neighborhood sample used in classify)
     grads = [[res.expr.diff(a) for a in p.group.params] for res in active]
-    point = _generic_point_for([g for row in grads for g in row], p.group, rng)
-    if symbolic_rank([[g.eval_at(point) for g in row] for row in grads]) != len(active):
+    if _parameter_rank(grads, p.group, rng) != len(active):
         raise ReductionNeeded("infinitesimal transitivity check failed at a generic point")
 
     # normalization section
@@ -606,15 +588,13 @@ def _choose_targets(
             notes.append(f"residual {res.label}: target {targets[res.label]} (override)")
             continue
         candidates = [Fraction(0)]
-        point = _generic_point_for([res.expr], p.group, rng, positive=True)
-        idpoint = dict(point)
-        for a in p.group.params:
-            if a in idpoint:
-                idpoint[a] = p.group.identity_values[a]
+        point, ((at_point,),) = _first_point(
+            generic_points([[res.expr]], rng, center=p.group.identity_values, positive=True)
+        )
         try:
-            sign = res.expr.eval_at(idpoint)
+            sign = res.expr.eval_at(point | p.group.identity_values)
         except PoleError:
-            sign = res.expr.eval_at(point)
+            sign = at_point
         if sign > 0:
             candidates += [Fraction(1), Fraction(-1)]
         else:

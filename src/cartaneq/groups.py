@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exprs import Context, Expr, ExprError, Symbol
-from .linalg import SingularMatrixError, mat_det, mat_inverse, symbolic_rank
+from .linalg import SingularMatrixError, generic_points, mat_det, mat_inverse, symbolic_rank
 
 __all__ = [
     "GroupError",
@@ -35,6 +35,10 @@ __all__ = [
 
 class GroupError(ExprError):
     pass
+
+
+# pairs of group elements whose product ``check_closure`` tests
+_CLOSURE_SAMPLES = 4
 
 
 def slot_symbols(ctx: Context, n: int) -> list[list[Symbol]]:
@@ -283,25 +287,8 @@ def right_mc(g: ParamGroup) -> MCBasis:
     return MCBasis(g, slots, alpha_coeffs, coeff_rows, F, inv)
 
 
-def _random_point(g: ParamGroup, rng: random.Random) -> dict[Symbol, Fraction]:
-    for _ in range(60):
-        vals = {}
-        for s in g.params:
-            base = g.identity_values[s]
-            vals[s] = base + Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        try:
-            m = g.at_numeric(vals)
-        except ExprError:
-            continue
-        if mat_det(m) != 0:
-            return vals
-    raise GroupError("could not sample a generic group element")
-
-
-def check_closure(g: ParamGroup, rng: random.Random, samples: int = 5) -> tuple[bool, list[str]]:
+def check_closure(g: ParamGroup, rng: random.Random) -> tuple[bool, list[str]]:
     """Sample pairs of elements and test that the product is in the group."""
-    if samples < 1:
-        raise GroupError("samples must be at least 1")
     notes: list[str] = []
     eqs = g.membership_eqs
     if eqs is None:
@@ -309,11 +296,11 @@ def check_closure(g: ParamGroup, rng: random.Random, samples: int = 5) -> tuple[
         if plan is None:
             return False, ["no membership equations and parameter recovery failed"]
     slots = slot_symbols(g.ctx, g.n)
-    for t in range(samples):
-        va = _random_point(g, rng)
-        vb = _random_point(g, rng)
-        ma = g.at_numeric(va)
-        mb = g.at_numeric(vb)
+    elements = (m for _, m in generic_points(g.entries, rng, center=g.identity_values) if mat_det(m) != 0)
+    for t in range(_CLOSURE_SAMPLES):
+        ma, mb = next(elements, None), next(elements, None)
+        if mb is None:
+            raise GroupError("could not sample a generic group element")
         prod = [
             [sum(ma[i][k] * mb[k][j] for k in range(g.n)) for j in range(g.n)]
             for i in range(g.n)
@@ -334,7 +321,7 @@ def check_closure(g: ParamGroup, rng: random.Random, samples: int = 5) -> tuple[
             if back != prod:
                 notes.append(f"sample {t}: product is outside the parametrized image")
                 return False, notes
-    notes.append(f"{samples} closure samples passed")
+    notes.append(f"{_CLOSURE_SAMPLES} closure samples passed")
     return True, notes
 
 

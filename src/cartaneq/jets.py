@@ -15,14 +15,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .characters import CharacterReport, reduced_characters
 from .engine import GStructureProblem, loop_stages, target_symbol
-from .exprs import Context, Expr, ExprError, PoleError, Symbol
+from .exprs import Context, Expr, ExprError, Symbol
 from .groups import membership_equations, slot_symbols, solve_linear_in
-from .linalg import eliminate, identity_matrix, mat_mul, row_reduce, symbolic_rank
+from .linalg import eliminate, generic_points, identity_matrix, mat_mul, row_reduce, symbolic_rank
 
 __all__ = [
     "JetError",
@@ -470,46 +469,24 @@ def jet_characters(P: ProlongedSystem, rng: random.Random) -> CharacterReport:
         return out
 
     report = reduced_characters(ctx, n, len(cols), build_rows, rng)
-    _monitor_regularity(R, build_rows, report, rng)
+    _monitor_regularity(R, report, rng)
     return report.with_fiber_dimension(P.parametric_top_count)
 
 
-def _monitor_regularity(R: JetSystem, build_rows, report: CharacterReport, rng: random.Random):
+def _monitor_regularity(R: JetSystem, report: CharacterReport, rng: random.Random):
     """Character constancy probe at 3 generic points (regularity is assumed,
     not decided; a drop at a sampled point aborts with a diagnostic)."""
-    space = R.space
-    ctx = space.ctx
-    n = space.n
-    dirs = [[ctx.expr(ctx.declare_symbol(f"_dir{k}_{t}", "auxiliary")) for t in range(n)] for k in range(n)]
-    rows = []
-    for k in range(n):
-        rows.extend(build_rows(dirs[k]))
-    atoms = []
-    seen = set()
-    for row in rows:
-        for e in row:
-            for a in e.atoms():
-                if id(a) not in seen and not (isinstance(a, Symbol) and a.name.startswith("_dir")):
-                    seen.add(id(a))
-                    atoms.append(a)
-    if not atoms:
-        return
-    checked = 0
-    attempts = 0
-    while checked < 3 and attempts < 40:
-        attempts += 1
-        point = {a: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3)) for a in atoms}
-        try:
-            numeric_rows = [[e.eval_partial(point) for e in row] for row in rows]
-        except PoleError:
-            continue
-        rank = symbolic_rank(numeric_rows)
+    ctx, n = R.space.ctx, R.space.n
+    dirs = {ctx.declare_symbol(f"_dir{k}_{t}", "auxiliary") for k in range(n) for t in range(n)}
+    for point, rows in itertools.islice(generic_points(report.stacked_rows, rng, keep=dirs), 3):
+        if not point:
+            return  # no atom but the directions: the rows are already the generic ones
+        rank = symbolic_rank(rows)
         if rank < report.ranks[-1]:
             raise JetError(
                 f"reduced Cartan characters are not constant: rank {rank} at a sampled "
                 f"point, {report.ranks[-1]} generically"
             )
-        checked += 1
 
 
 def complete_to_involution(R: JetSystem, rng: random.Random, cap: int = 10) -> tuple[JetSystem, list[dict]]:

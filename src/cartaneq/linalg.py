@@ -1,7 +1,7 @@
 """Exact linear algebra over the rational expression field.
 
-Matrices are plain lists of lists of Expr (or of Fraction, for sampled
-values).  Every elimination in the package goes through one Gauss-Jordan
+Matrices are plain lists of lists of Expr (or of Fraction, for values at
+the points :func:`generic_points` samples).  Every elimination in the package goes through one Gauss-Jordan
 core, :func:`eliminate`, with two pivot rules: the first unused row with a
 nonzero entry, or the sparsest such row.  Determinant, inverse, rank and
 row reduction are thin views of it.  Zero-tests are decidable, so ranks are
@@ -11,10 +11,11 @@ vanish are chart restrictions, not errors.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
-from .exprs import Context, Expr, ExprError
+from .exprs import Context, Expr, ExprError, PoleError, Symbol
 
 __all__ = [
     "SingularMatrixError",
@@ -25,6 +26,7 @@ __all__ = [
     "mat_inverse",
     "symbolic_rank",
     "row_reduce",
+    "generic_points",
 ]
 
 Matrix = list
@@ -133,3 +135,34 @@ def row_reduce(rows: Sequence[Sequence[Expr]], npivot_cols: int) -> tuple[list[l
     """``eliminate`` with the first-row pivot rule, without the pivot values."""
     reduced, pivots, _ = eliminate(rows, npivot_cols)
     return reduced, pivots
+
+
+def generic_points(rows: Sequence[Sequence[Expr]], rng: random.Random, *, center: Mapping[Symbol, Fraction] | None = None,
+                   positive: bool = False, keep: frozenset | set = frozenset()) -> Iterator[tuple[dict, Matrix]]:
+    """Seeded random rational points at which no entry of ``rows`` has a pole.
+
+    Yields ``(point, values)``: ``point`` binds each atom of ``rows`` not in
+    ``keep``, drawn in first-seen order, and ``values`` is ``rows`` evaluated
+    there, as Fractions, or as Exprs in the kept atoms.  An atom with a value c
+    in ``center`` is drawn as c + i/j (i in [-4, 4], j in [2, 5]); any other
+    as +-i/j (i in [1, 9], j in [1, 3]), +i/j when ``positive``.  Draws with a
+    pole are skipped, and the generator ends after 80 draws in all, so a
+    caller that needs a point raises its own error when none comes.
+    """
+    center = center or {}
+    evaluate = Expr.eval_partial if keep else Expr.eval_at
+    atoms = list(dict.fromkeys(a for row in rows for e in row for a in e.atoms() if a not in keep))
+    for _ in range(80):
+        point = {}
+        for a in atoms:
+            if a in center:
+                point[a] = center[a] + Fraction(rng.randint(-4, 4), rng.randint(2, 5))
+            elif positive:
+                point[a] = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+            else:
+                point[a] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3))
+        try:
+            values = [[evaluate(e, point) for e in row] for row in rows]
+        except PoleError:
+            continue
+        yield point, values

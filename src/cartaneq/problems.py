@@ -209,6 +209,6 @@ def validate_problem(problem: GStructureProblem, policy: Policy):
     except ExprError as exc:
         raise ProblemFileError(f"validation failed: {exc}") from None
     if problem.group.r > 0:
-        ok, notes = check_closure(problem.group, samples=4, rng=random.Random(policy.seed))
+        ok, notes = check_closure(problem.group, random.Random(policy.seed))
         if not ok:
             raise ProblemFileError("validation failed: closure sampling: " + "; ".join(notes))

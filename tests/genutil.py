@@ -33,6 +33,23 @@ def drawn_problem(seed: int):
     return problem_from_text(genprob.random_problem_text(seed))
 
 
+class ScriptedRng:
+    """A stand-in for ``random.Random`` in ``generic_points``: an atom without
+    a centre is drawn as the next of ``values`` (the last one repeating), an
+    atom with centre c as c - 1."""
+
+    def __init__(self, *values: int):
+        self.values = list(values)
+
+    def choice(self, seq):
+        return 1
+
+    def randint(self, lo: int, hi: int) -> int:
+        if (lo, hi) == (1, 9):
+            return self.values.pop(0) if len(self.values) > 1 else self.values[0]
+        return {(1, 3): 1, (-4, 4): -2, (2, 5): 2}[(lo, hi)]
+
+
 def random_fraction(rng: random.Random, lo: int = -6, hi: int = 6, nonzero: bool = False) -> Fraction:
     while True:
         f = Fraction(rng.randint(lo, hi), rng.randint(1, 3))

@@ -22,7 +22,7 @@ from cartaneq.forms import Coframe, DiffForm, rewrite_in_coframe
 from cartaneq.groups import group_inverse
 from cartaneq.linalg import mat_inverse, mat_mul
 
-from genutil import corpus_problem, drawn_problem, problem_from_text
+from genutil import ScriptedRng, corpus_problem, drawn_problem, problem_from_text
 
 CORPUS = ("flat_gl2", "flat_identity", "lagrangian", "toy_diag", "toy_genuine")
 
@@ -200,6 +200,14 @@ def test_classify_torsion():
     flat = corpus_problem("flat_identity")
     sol2 = solve_absorption(build_absorption(flat, compute_structure_data(flat)))
     assert all(k == "trivial" for k in classify_torsion(sol2, random.Random(0)).kinds)
+
+
+def test_classify_torsion_refuses_when_every_sample_is_a_pole():
+    # toy_diag's residual -1/(x*a) has the gradient 1/(x*a^2); a = 0 every draw
+    p = corpus_problem("toy_diag")
+    sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
+    with pytest.raises(EngineError, match="could not sample"):
+        classify_torsion(sol, ScriptedRng(1))
 
 
 def test_classify_genuine_invariant():

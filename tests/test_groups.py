@@ -17,7 +17,7 @@ from cartaneq.groups import (
     solve_power_in,
 )
 
-from genutil import corpus_problem, drawn_problem
+from genutil import ScriptedRng, corpus_problem, drawn_problem
 
 
 def diag_recip_group():
@@ -130,25 +130,31 @@ def test_f_constancy_rejects_non_groups():
 
 def test_check_closure():
     ctx, g = diag_recip_group()
-    ok, _ = check_closure(g, samples=4, rng=random.Random(0))
+    ok, _ = check_closure(g, random.Random(0))
     assert ok
 
     ctx2 = Context()
     (a,) = ctx2.declare_symbols(["a"], "group-parameter")
     unip = ParamGroup(ctx2, 2, (a,), [[ctx2.one, ctx2.sym("a")], [ctx2.zero, ctx2.one]], {a: 0})
-    ok2, _ = check_closure(unip, samples=4, rng=random.Random(1))
+    ok2, _ = check_closure(unip, random.Random(1))
     assert ok2
 
     lag = corpus_problem("lagrangian")
-    ok3, _ = check_closure(lag.group, samples=4, rng=random.Random(2))
+    ok3, _ = check_closure(lag.group, random.Random(2))
     assert ok3
 
     # a parametrized set that is not a group fails the sampling
     ctx3 = Context()
     (c,) = ctx3.declare_symbols(["c"], "group-parameter")
     bad = ParamGroup(ctx3, 2, (c,), [[1 + ctx3.sym("c") ** 2, ctx3.zero], [ctx3.zero, ctx3.one]], {c: 0})
-    ok4, notes = check_closure(bad, samples=6, rng=random.Random(3))
+    ok4, notes = check_closure(bad, random.Random(3))
     assert not ok4
+    # refused before any element is drawn
+    assert notes == ["no membership equations and parameter recovery failed"]
+
+    # every sampled element a pole (a = 0 in 1/a): refused, not looped
+    with pytest.raises(GroupError, match="could not sample"):
+        check_closure(g, ScriptedRng(1))
 
 
 def test_recover_params_and_membership():

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from cartaneq import Context
 from cartaneq.linalg import (
     SingularMatrixError,
     eliminate,
+    generic_points,
     identity_matrix,
     mat_det,
     mat_inverse,
@@ -13,6 +16,8 @@ from cartaneq.linalg import (
     row_reduce,
     symbolic_rank,
 )
+
+from genutil import ScriptedRng
 
 
 @pytest.fixture
@@ -110,3 +115,37 @@ def test_eliminate_tracked_columns(ctx):
     assert reduced[1][:5] == [0, 0, -2, 1, 0]
     assert reduced[1][5] == y - 2 * x
     assert all(isinstance(e, Fraction) for e in reduced[1][:5])
+
+
+def test_generic_points_are_seeded(ctx):
+    ctx.declare_symbol("z", "coordinate")
+    ctx.declare_opaque("f", ["x", "y"])
+    rows = [[ctx.parse("x*y + f(x, y)"), ctx.parse("1/(x - z)")], [ctx.parse("y"), ctx.one]]
+
+    def draws(seed):
+        return list(itertools.islice(generic_points(rows, random.Random(seed)), 5))
+
+    assert draws(3) == draws(3)
+    assert draws(3) != draws(4)
+    for point, values in draws(3):
+        assert values == [[e.eval_at(point) for e in row] for row in rows]
+
+
+def test_generic_points_skip_poles(ctx):
+    e = ctx.parse("1/(x - 1)")
+    x = ctx.get_symbol("x")
+    # the first draw x = 1 is a pole and is skipped
+    assert next(generic_points([[e]], ScriptedRng(1, 2))) == ({x: 2}, [[1]])
+    # every draw a pole: the generator ends
+    assert list(generic_points([[e]], ScriptedRng(1))) == []
+
+
+def test_generic_points_keep_and_center(ctx):
+    z = ctx.declare_symbol("z", "coordinate")
+    x, y = ctx.get_symbol("x"), ctx.get_symbol("y")
+    rows = [[ctx.parse("x*y + z")]]
+    points = generic_points(rows, random.Random(0), center={x: Fraction(5)}, keep={y})
+    for point, values in itertools.islice(points, 50):
+        assert list(point) == [x, z]
+        assert abs(point[x] - 5) <= 2
+        assert values == [[ctx.expr(point[x]) * ctx.sym("y") + ctx.expr(point[z])]]

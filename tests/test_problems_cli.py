@@ -10,6 +10,8 @@ from cartaneq.engine import run_loop
 from cartaneq.problems import ProblemFileError, load_problem, parse_problem_text
 from cartaneq.report import REPORT_SCHEMA, result_to_dict, result_to_json
 
+import genprob
+
 ROOT = Path(__file__).parent.parent
 PROBLEMS = ROOT / "problems"
 
@@ -163,17 +165,33 @@ def test_report_schema_on_lagrangian():
 
 
 def test_corpus_run_outputs_match_benchmark_recording(tmp_path, monkeypatch, capsys):
-    # the requests of the corpus-run benchmark, digested as perfbench/run.py
-    # does: a byte drift in a report, a characters table or an exit code fails here
-    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())["corpus-run"]
+    # the requests of the corpus-run and random-mixed benchmarks, digested as
+    # perfbench/run.py does: a byte drift in a report, a characters table, a
+    # crosscheck or an exit code fails here.  The random-mixed requests
+    # recorded as failing are pinned in tests/test_jets.py.
+    recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())
     monkeypatch.chdir(ROOT)
-    for path in sorted(Path("problems").glob("*.prob")):
+    requests = [
+        ("corpus-run", command, path)
+        for path in sorted(Path("problems").glob("*.prob"))
+        for command in ("run", "characters")
+    ]
+    for draw in range(50):  # the draws of perfbench/run.py
+        path = tmp_path / f"draw-{draw:02d}.prob"
+        path.write_text(genprob.random_problem_text(draw))
+        requests += [("random-mixed", command, path) for command in ("run", "crosscheck")]
+    for workload, command, path in requests:
+        want = recorded[workload][f"{command} {path.stem}"]
+        if want["failure"] is not None:
+            continue
         report = tmp_path / f"{path.stem}.json"
-        for argv in (["run", str(path), "--json", str(report)], ["characters", str(path)]):
-            code = main(argv)
-            out, err = capsys.readouterr()
-            h = hashlib.sha256(f"exit {code}\n".encode())
-            h.update(report.read_bytes() if argv[0] == "run" else out.encode())
-            h.update(err.encode())
-            want = expected[f"{argv[0]} {path.stem}"]
-            assert (code, h.hexdigest()) == (want["exit"], want["digest"]), argv
+        argv = [command, str(path)] + (["--json", str(report)] if command == "run" else [])
+        code = main(argv)
+        out, err = capsys.readouterr()
+        h = hashlib.sha256(f"exit {code}\n".encode())
+        if command == "run":
+            h.update(report.read_bytes() if report.exists() else b"no report\n")
+        else:
+            h.update(out.encode())
+        h.update(err.encode())
+        assert (code, h.hexdigest()) == (want["exit"], want["digest"]), argv
