@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .characters import CharacterReport, reduced_characters
 from .exprs import Context, Expr, ExprError, PoleError, Symbol
-from .forms import Chart, Coframe, DiffForm, rewrite_by, structure_functions
+from .forms import Chart, Coframe, exterior_square, pairs, structure_functions
 from .groups import (
     MCBasis,
     ParamGroup,
@@ -27,7 +27,7 @@ from .groups import (
     slot_symbols,
     solve_power_in,
 )
-from .linalg import eliminate, generic_points, mat_mul, symbolic_rank
+from .linalg import eliminate, generic_points, identity_matrix, mat_mul, symbolic_rank
 
 __all__ = [
     "EngineError",
@@ -113,7 +113,8 @@ def residual_label(e: Expr) -> str:
 def compute_structure_data(p: GStructureProblem) -> StructureData:
     """Structure functions B of eta, torsion sources C of g d(eta) in the
     g-eta coframe, and the Maurer-Cartan basis; checks C(x, identity) = B(x).
-    As eta = g^{-1} (g eta), C uses the g^{-1} of `right_mc`, not (g A)^{-1}.
+    As eta = g^{-1} (g eta), C = (g B) times the exterior square of the
+    g^{-1} of `right_mc`, and (g A)^{-1} is never formed.
     """
     ctx = p.ctx
     n = p.n
@@ -122,20 +123,10 @@ def compute_structure_data(p: GStructureProblem) -> StructureData:
     gA = mat_mul(p.group.entries, p.coframe.transition)
     g_coframe = Coframe(p.chart, tuple(f"w{i + 1}" for i in range(n)), gA)
     id_binds = {s: ctx.expr(v) for s, v in p.group.identity_values.items()}
-    C: dict[tuple[int, int, int], Expr] = {}
-    for i in range(n):
-        coeffs = {}
-        for j in range(n):
-            for k in range(j + 1, n):
-                acc = ctx.zero
-                for m in range(n):
-                    acc = acc + p.group.entries[i][m] * B[(m, j, k)]
-                if not acc.is_zero():
-                    coeffs[(j, k)] = acc
-        gde = rewrite_by(DiffForm(2, p.coframe, coeffs), mc.inverse, g_coframe)
-        for j in range(n):
-            for k in range(j + 1, n):
-                C[(i, j, k)] = gde.coeff(j, k)
+    P = pairs(n)
+    gB = mat_mul(p.group.entries, [[B[(i, j, k)] for (j, k) in P] for i in range(n)])
+    Cm = mat_mul(gB, exterior_square(mc.inverse))
+    C = {(i, j, k): Cm[i][q] for i in range(n) for q, (j, k) in enumerate(P)}
     for key, c in C.items():
         if not (c.subs(id_binds) - B[key]).is_zero():
             raise EngineError(f"identity compatibility C(x, I) = B(x) fails at slot {key}")
@@ -199,7 +190,7 @@ def build_absorption(
     n, r = p.n, p.group.r
     if mode not in ("normalized", "exact"):
         raise EngineError(f"unknown absorption mode {mode!r}")
-    slots = [(i, j, k) for i in range(n) for j in range(n) for k in range(j + 1, n)]
+    slots = [(i, j, k) for i in range(n) for (j, k) in pairs(n)]
     unknowns = [(kappa, j) for kappa in range(r) for j in range(n)]
     coeffs = []
     for (i, j, k) in slots:
@@ -503,7 +494,7 @@ def prolonged_group(p: GStructureProblem, sol: AbsorptionSolution) -> ParamGroup
         for t in range(sol.r2)
     ]
     par_index = {unk: t for t, unk in enumerate(sol.parametric)}
-    entries = [[ctx.one if i == j else ctx.zero for j in range(N)] for i in range(N)]
+    entries = identity_matrix(ctx, N)
     for kappa in range(r):
         for j in range(n):
             prow = sol.P[(kappa, j)]

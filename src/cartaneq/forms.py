@@ -2,8 +2,10 @@
 
 Forms carry their coefficients relative to a named coframe; degree-2
 coefficients are stored on ordered index pairs j < k only, so antisymmetry is
-structural.  Structure-function extraction always routes through coordinate
-differentials and one matrix inverse.
+structural.  A change of coframe theta = S phi acts on 1-form coefficient rows
+by S and on 2-form coefficient rows by the exterior square of S, so structure
+functions are the coordinate differentials times one exterior square of the
+inverse transition matrix.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .exprs import Context, Expr, ExprError, Scalar, Symbol
-from .linalg import SingularMatrixError, mat_det, mat_inverse, mat_mul
+from .linalg import SingularMatrixError, identity_matrix, mat_det, mat_inverse, mat_mul
 
 __all__ = [
     "FormError",
@@ -20,6 +22,8 @@ __all__ = [
     "DiffForm",
     "VectorField",
     "coordinate_coframe",
+    "pairs",
+    "exterior_square",
     "wedge",
     "exterior_derivative",
     "rewrite_by",
@@ -109,10 +113,8 @@ class Coframe:
 
 
 def coordinate_coframe(chart: Chart) -> Coframe:
-    ctx = chart.ctx
     names = tuple(f"d{c.name}" for c in chart.coords)
-    eye = [[ctx.one if i == j else ctx.zero for j in range(chart.n)] for i in range(chart.n)]
-    return Coframe(chart, names, eye)
+    return Coframe(chart, names, identity_matrix(chart.ctx, chart.n))
 
 
 class DiffForm:
@@ -253,30 +255,34 @@ def rewrite_in_coframe(a: DiffForm, target: Coframe) -> DiffForm:
     return rewrite_by(a, mat_mul(a.coframe.transition, target.inverse()), target)
 
 
+def pairs(n: int) -> list[tuple[int, int]]:
+    """The index pairs j < k of degree-2 coefficients, in row-major order."""
+    return [(j, k) for j in range(n) for k in range(j + 1, n)]
+
+
+def exterior_square(S: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
+    """The second compound matrix of a square S: its 2 x 2 minors, rows and
+    columns indexed by ``pairs(n)``.  When theta = S phi,
+    theta^j ^ theta^k = sum_{l<m} minor[(j,k)][(l,m)] phi^l ^ phi^m."""
+    P = pairs(len(S))
+    return [[S[j][l] * S[k][m] - S[j][m] * S[k][l] for (l, m) in P] for (j, k) in P]
+
+
 def rewrite_by(a: DiffForm, S: Sequence[Sequence[Expr]], target: Coframe) -> DiffForm:
-    """The form ``a`` in ``target``, given S with theta_a = S . theta_target."""
-    ctx = a.ctx
+    """The form ``a`` in ``target``, given S with theta_a = S . theta_target:
+    the coefficient row times S in degree 1, times the exterior square of S
+    in degree 2."""
     if a.degree == 0:
         return DiffForm(0, target, dict(a.coeffs))
-    if a.degree == 1:
-        n = target.n
-        new = {}
-        for l in range(n):
-            acc = ctx.zero
-            for (j,), cj in a.coeffs.items():
-                acc = acc + cj * S[j][l]
-            new[(l,)] = acc
-        return DiffForm(1, target, new)
-    n = target.n
-    new2: dict[tuple, Expr] = {}
-    for (j, k), c in a.coeffs.items():
-        for l in range(n):
-            for m in range(l + 1, n):
-                factor = S[j][l] * S[k][m] - S[j][m] * S[k][l]
-                if factor.is_zero():
-                    continue
-                new2[(l, m)] = new2.get((l, m), ctx.zero) + c * factor
-    return DiffForm(2, target, new2)
+    idx = [(j,) for j in range(target.n)] if a.degree == 1 else pairs(target.n)
+    M = S if a.degree == 1 else exterior_square(S)
+    (row,) = mat_mul([[a.coeffs.get(i, a.ctx.zero) for i in idx]], M)
+    return DiffForm(a.degree, target, dict(zip(idx, row)))
+
+
+def _d_coefficients(coords: Sequence[Symbol], f: Sequence[Expr]) -> list[Expr]:
+    """d(sum_j f_j dx^j) on the coordinate pairs: d_i f_j - d_j f_i for i < j."""
+    return [f[j].diff(coords[i]) - f[i].diff(coords[j]) for i, j in pairs(len(coords))]
 
 
 def exterior_derivative(a: DiffForm) -> DiffForm:
@@ -291,26 +297,18 @@ def exterior_derivative(a: DiffForm) -> DiffForm:
         coeffs = {(i,): f.diff(x) for i, x in enumerate(coords)}
         return rewrite_in_coframe(DiffForm(1, cc, coeffs), a.coframe)
     flat = rewrite_in_coframe(a, cc)
-    out: dict[tuple, Expr] = {}
-    for i in range(chart.n):
-        for j in range(i + 1, chart.n):
-            cj = flat.coeff(j).diff(coords[i]) - flat.coeff(i).diff(coords[j])
-            if not cj.is_zero():
-                out[(i, j)] = cj
-    return rewrite_in_coframe(DiffForm(2, cc, out), a.coframe)
+    d = _d_coefficients(coords, [flat.coeff(j) for j in range(chart.n)])
+    return rewrite_in_coframe(DiffForm(2, cc, dict(zip(pairs(chart.n), d))), a.coframe)
 
 
 def structure_functions(c: Coframe) -> dict[tuple[int, int, int], Expr]:
-    """Coefficients B[i, j, k] with d theta^i = sum_{j<k} B[i,j,k] theta^j ^ theta^k."""
-    cc = coordinate_coframe(c.chart)
-    out: dict[tuple[int, int, int], Expr] = {}
-    for i in range(c.n):
-        theta = DiffForm(1, cc, {(j,): c.transition[i][j] for j in range(c.n)})
-        d = rewrite_in_coframe(exterior_derivative(theta), c)
-        for j in range(c.n):
-            for k in range(j + 1, c.n):
-                out[(i, j, k)] = d.coeff(j, k)
-    return out
+    """Coefficients B[i, j, k] with d theta^i = sum_{j<k} B[i,j,k] theta^j ^ theta^k:
+    the coordinate differentials of the rows of T times the exterior square of
+    T^{-1}, since dx = T^{-1} theta."""
+    d = [_d_coefficients(c.chart.coords, row) for row in c.transition]
+    B = mat_mul(d, exterior_square(c.inverse()))
+    P = pairs(c.n)
+    return {(i, j, k): B[i][q] for i in range(c.n) for q, (j, k) in enumerate(P)}
 
 
 def interior_product(v: VectorField, a: DiffForm) -> DiffForm:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exprs import Context, Expr, ExprError, Symbol
-from .linalg import SingularMatrixError, generic_points, mat_det, mat_inverse, symbolic_rank
+from .linalg import SingularMatrixError, generic_points, mat_det, mat_inverse, mat_mul, symbolic_rank
 
 __all__ = [
     "GroupError",
@@ -205,31 +205,19 @@ def right_mc(g: ParamGroup) -> MCBasis:
     """
     ctx = g.ctx
     inv = group_inverse(g)
+    order = [(i, j) for i in range(g.n) for j in range(g.n)]
     if g.r == 0:
-        return MCBasis(g, [], [], {(i, j): [] for i in range(g.n) for j in range(g.n)}, {(i, j): () for i in range(g.n) for j in range(g.n)}, inv)
-    coeff_rows: dict[tuple[int, int], list[Expr]] = {}
+        return MCBasis(g, [], [], {s: [] for s in order}, {s: () for s in order}, inv)
+    # dg g^{-1} = sum_a (dg/da) g^{-1} da: one product per parameter
+    mc = [mat_mul([[e.diff(a) for e in row] for row in g.entries], inv) for a in g.params]
+    coeff_rows = {(i, j): [m[i][j] for m in mc] for i, j in order}
     ident_rows: dict[tuple[int, int], list[Fraction]] = {}
     id_binds = {s: ctx.expr(v) for s, v in g.identity_values.items()}
-    for i in range(g.n):
-        for j in range(g.n):
-            vec = []
-            for a in g.params:
-                acc = ctx.zero
-                for m in range(g.n):
-                    d = g.entries[i][m].diff(a)
-                    if not d.is_zero():
-                        acc = acc + d * inv[m][j]
-                vec.append(acc)
-            coeff_rows[(i, j)] = vec
-            ident = []
-            for e in vec:
-                val = e.subs(id_binds).as_fraction()
-                if val is None:
-                    raise GroupError("entries must be expressions in the group parameters only")
-                ident.append(val)
-            ident_rows[(i, j)] = ident
-
-    order = [(i, j) for i in range(g.n) for j in range(g.n)]
+    for slot, vec in coeff_rows.items():
+        ident = [e.subs(id_binds).as_fraction() for e in vec]
+        if None in ident:
+            raise GroupError("entries must be expressions in the group parameters only")
+        ident_rows[slot] = ident
     chosen: list[tuple[int, int] | None] = [None] * g.r
     taken: set[tuple[int, int]] = set()
     for k in range(g.r):
@@ -258,32 +246,19 @@ def right_mc(g: ParamGroup) -> MCBasis:
     slots = [s for s in chosen if s is not None]
     alpha_coeffs = [coeff_rows[s] for s in slots]
 
-    # Express every entry in the basis: solve the r x r system once.
-    A = [[alpha_coeffs[k][t] for k in range(g.r)] for t in range(g.r)]
-    Ainv = mat_inverse(A)
+    # Every entry w = f . alpha in the basis: F = W alpha^{-1}, checked exactly.
+    W = [coeff_rows[slot] for slot in order]
     F: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-    for slot in order:
-        w = coeff_rows[slot]
-        fs = []
-        for k in range(g.r):
-            acc = ctx.zero
-            for t in range(g.r):
-                acc = acc + Ainv[k][t] * w[t]
-            val = acc.as_fraction()
-            if val is None:
-                raise GroupError(
-                    f"entry {slot} of dg g^-1 is not a constant combination of the basis; "
-                    "the parametrization is not a matrix group"
-                )
-            fs.append(val)
-        # exact reconstruction check
-        for t in range(g.r):
-            acc = ctx.zero
-            for k in range(g.r):
-                acc = acc + ctx.expr(fs[k]) * alpha_coeffs[k][t]
-            if not (acc - w[t]).is_zero():
-                raise GroupError(f"Maurer-Cartan reconstruction failed at entry {slot}")
-        F[slot] = tuple(fs)
+    for slot, row in zip(order, mat_mul(W, mat_inverse(alpha_coeffs))):
+        fs = tuple(e.as_fraction() for e in row)
+        if None in fs:
+            raise GroupError(
+                f"entry {slot} of dg g^-1 is not a constant combination of the basis; "
+                "the parametrization is not a matrix group"
+            )
+        F[slot] = fs
+    if mat_mul([[ctx.expr(f) for f in F[slot]] for slot in order], alpha_coeffs) != W:
+        raise GroupError("Maurer-Cartan reconstruction failed")
     return MCBasis(g, slots, alpha_coeffs, coeff_rows, F, inv)
 
 
@@ -301,10 +276,7 @@ def check_closure(g: ParamGroup, rng: random.Random) -> tuple[bool, list[str]]:
         ma, mb = next(elements, None), next(elements, None)
         if mb is None:
             raise GroupError("could not sample a generic group element")
-        prod = [
-            [sum(ma[i][k] * mb[k][j] for k in range(g.n)) for j in range(g.n)]
-            for i in range(g.n)
-        ]
+        prod = mat_mul(ma, mb)
         binding = {slots[i][j]: prod[i][j] for i in range(g.n) for j in range(g.n)}
         if eqs is not None:
             for eq in eqs:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .characters import CharacterReport, reduced_characters
 from .engine import GStructureProblem, loop_stages, target_symbol
@@ -205,7 +205,7 @@ def _coeff_class(coeff: Expr, space: JetSpace, units: set) -> int:
 def _solve_for_jet(
     space: JetSpace,
     e: Expr,
-    taken: set[tuple[int, MultiIndex]],
+    taken: Collection[tuple[int, MultiIndex]],
     units: set,
     max_order: int | None = None,
 ) -> tuple[tuple[int, MultiIndex], Expr] | None:
@@ -541,20 +541,18 @@ def encode_gstructure(p: GStructureProblem) -> JetSystem:
         units.update(e.atoms())
 
     solved: dict[tuple[int, MultiIndex], Expr] = {}
-    taken: set[tuple[int, MultiIndex]] = set()
     for eq in eqs:
         raw = eq.subs(binds)
         if solved:
             raw = raw.subs({space.jet(a, J): F for (a, J), F in solved.items()})
         if raw.is_zero():
             continue
-        hit = _solve_for_jet(space, raw, taken, units)
+        hit = _solve_for_jet(space, raw, solved, units)
         if hit is None:
             raise JetError(f"cannot put membership equation {eq} into solved form")
         (a, J), sol = hit
         solved = {k: v.subs({space.jet(a, J): sol}) for k, v in solved.items()}
         solved[(a, J)] = sol
-        taken.add((a, J))
     return JetSystem(space, solved, 1)
 
 

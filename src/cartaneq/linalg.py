@@ -42,16 +42,20 @@ def identity_matrix(ctx: Context, n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
+    """The product a . b, adding only the products of two nonzero entries.
+
+    A ``b`` without rows is read as 0 x 0, so an empty inner dimension (the
+    index pairs of a chart of dimension 1) gives rows of length 0.
+    """
+    m = len(b[0]) if b else 0
     out = []
-    for i in range(n):
-        row = []
+    for row in a:
+        out_row = []
         for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
+            terms = [x * y[j] for x, y in zip(row, b) if x and y[j]]
+            # row[0] * 0 is the zero of the entry type (Expr or Fraction)
+            out_row.append(sum(terms[1:], terms[0]) if terms else row[0] * 0)
+        out.append(out_row)
     return out
 
 

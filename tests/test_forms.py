@@ -11,11 +11,13 @@ from cartaneq.forms import (
     VectorField,
     coordinate_coframe,
     exterior_derivative,
+    exterior_square,
     interior_product,
     rewrite_in_coframe,
     structure_functions,
     wedge,
 )
+from cartaneq.linalg import identity_matrix, mat_mul
 
 from genutil import drawn_problem, random_poly_expr
 
@@ -205,3 +207,13 @@ def test_antisymmetry_via_wedge_commutator():
         for j in range(3):
             for k in range(j + 1, 3):
                 assert wedge(a, b).coeff(k, j) == -wedge(a, b).coeff(j, k)
+
+
+def test_exterior_square_is_multiplicative():
+    # Cauchy-Binet for 2 x 2 minors: the exterior square of S T is the
+    # product of the exterior squares, and that of I_n is I on the n(n-1)/2 pairs
+    for seed in range(25):
+        p = drawn_problem(seed)
+        S, T = p.coframe.transition, p.group.entries
+        assert exterior_square(mat_mul(S, T)) == mat_mul(exterior_square(S), exterior_square(T))
+        assert exterior_square(identity_matrix(p.ctx, p.n)) == identity_matrix(p.ctx, p.n * (p.n - 1) // 2)

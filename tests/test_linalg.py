@@ -48,6 +48,13 @@ def test_det_and_inverse(ctx):
     assert mat_det([[F(1), F(2)], [F(2), F(4)]]) == 0
 
 
+def test_mat_mul_with_empty_inner_dimension(ctx):
+    # a chart of dimension 1 has no index pairs: n x 0 times 0 x 0
+    assert mat_mul([[], []], []) == [[], []]
+    x = ctx.sym("x")
+    assert mat_mul([[x, ctx.zero]], [[ctx.zero], [x]]) == [[ctx.zero]]
+
+
 def test_inverse_singular(ctx):
     x = ctx.sym("x")
     with pytest.raises(SingularMatrixError):

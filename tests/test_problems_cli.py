@@ -110,13 +110,34 @@ def test_cli_run_exit_codes(tmp_path):
     assert main(["run", str(tmp_path / "missing.prob")]) == 1
 
 
-def test_cli_check_and_characters(capsys):
+# Charts of dimension 1: a 1-form has no index pairs, so B, C and every
+# exterior square are empty matrices.  (text, printed s, r2)
+LINE_PROBLEMS = [
+    ("[coordinates]\nnames = x\n[coframe]\nA 1 1 = x\n[group]\nparams = a\nM 1 1 = a\nidentity a = 1\n", "(1,)", 1),
+    ("[coordinates]\nnames = x\n[coframe]\nA 1 1 = x\n[group]\nparams =\nM 1 1 = 1\n", "(0,)", 0),
+]
+
+
+def test_cli_check_and_characters(capsys, tmp_path):
     assert main(["check", str(PROBLEMS / "lagrangian.prob")]) == 0
     assert main(["characters", str(PROBLEMS / "flat_gl2.prob")]) == 0
     # the characters command prints the first loop of run
     printed = re.search(r"s = (\(.*?\)), r2 = (\d+),", capsys.readouterr().out)
     first = run_loop(*load_problem(PROBLEMS / "flat_gl2.prob")).loops[0].characters
     assert (printed.group(1), int(printed.group(2))) == (str(tuple(first.s)), first.r2)
+    for text, s, r2 in LINE_PROBLEMS:
+        path = tmp_path / "line.prob"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 0
+        assert main(["run", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"characters s = {s}, r2 = {r2}, Cartan test passes" in out and "outcome: involutive" in out
+        assert main(["characters", str(path)]) == 0
+        assert f"s = {s}, r2 = {r2}, Cartan test passes" in capsys.readouterr().out
+        assert main(["crosscheck", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"engine: r2 = {r2}, s = {s}, conditions = 0" in out
+        assert f"jets:   r2 = {r2}, s = {s}, conditions = 0" in out
 
 
 def test_cli_crosscheck():
@@ -195,3 +216,14 @@ def test_corpus_run_outputs_match_benchmark_recording(tmp_path, monkeypatch, cap
             h.update(out.encode())
         h.update(err.encode())
         assert (code, h.hexdigest()) == (want["exit"], want["digest"]), argv
+
+
+def test_readme_quick_start_runs_as_documented(monkeypatch, capsys):
+    # the Python block under "Library quick start", run from the repository
+    # root: every print shows what its trailing comment says
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    documented = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == documented
