@@ -15,7 +15,10 @@ are structurally equal iff they are equal as rational expressions, which makes
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
+from operator import add, gt, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -338,6 +341,16 @@ def _patoms(p: Poly) -> set:
     return out
 
 
+# sorts (monomial, coefficient) pairs into descending _mono_cmp order
+_DESCENDING = functools.cmp_to_key(lambda a, b: _mono_cmp(b[0], a[0]))
+
+
+def _pdiv_mono(p: Poly, m: Mono) -> Poly:
+    """p / m for a monomial m that divides every term of p, its terms in
+    descending _mono_cmp order."""
+    return dict(sorted(((_mono_div(k, m), c) for k, c in p.items()), key=_DESCENDING))
+
+
 def _pdiv_exact(p: Poly, d: Poly) -> Poly:
     """Divide p by d, asserting the division is exact."""
     if not d:
@@ -542,6 +555,205 @@ def _pgcd(p: Poly, q: Poly) -> Poly:
     return _pmonic(_pmul(_pmul({mg: _ONE}, d), core))
 
 
+# The heuristic gcd works on integer polynomials over dense exponent vectors:
+# a dict from bytes, one exponent per variable in sort-key order, to a nonzero
+# int.  bytes compare in lex order, with the first variable the most
+# significant, and raise ValueError for an exponent outside range(256).
+
+
+def _zz_eval_first(f: dict, xi: int) -> dict:
+    """f with its first variable bound to xi."""
+    powers = [1]
+    for _ in range(max(e[0] for e in f)):
+        powers.append(powers[-1] * xi)
+    out: dict = {}
+    for e, c in f.items():
+        r = e[1:]
+        out[r] = out.get(r, 0) + c * powers[e[0]]
+    return {r: c for r, c in out.items() if c}
+
+
+def _zz_interpolate(h: dict, xi: int, cap: int) -> dict | None:
+    """The polynomial whose coefficients in a new first variable are the
+    xi-adic digits of h's coefficients, in the symmetric range of xi, so that
+    its value at xi is h; None when it has a degree above cap."""
+    half = xi // 2
+    out: dict = {}
+    k = 0
+    while h:
+        if k > cap:
+            return None
+        lead = bytes((k,))
+        rest = {}
+        for e, c in h.items():
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[lead + e] = d
+            if c != d:
+                rest[e] = (c - d) // xi
+        h = rest
+        k += 1
+    return out
+
+
+def _zz_scale(f: dict, c: int) -> dict:
+    return f if c == 1 else {e: v * c for e, v in f.items()}
+
+
+def _zz_div(f: dict, h: dict) -> dict | None:
+    """f / h when h divides f over the integers, else None.
+
+    Divides in lex order; a quotient term with a negative exponent, with an
+    exponent above the quotient's degree in its variable, or with a
+    coefficient that is no integer proves the division inexact."""
+    hl = max(h)
+    hc = h[hl]
+    if len(h) == 1 and not any(hl):
+        if hc == 1:
+            return f
+        if any(c % hc for c in f.values()):
+            return None
+        return {e: c // hc for e, c in f.items()}
+    try:
+        room = bytes(map(sub, map(max, zip(*f)), map(max, zip(*h))))
+    except ValueError:  # h has the higher degree in some variable
+        return None
+    out: dict = {}
+    rem = dict(f)
+    while rem:
+        rl = max(rem)
+        try:
+            qe = bytes(map(sub, rl, hl))
+        except ValueError:  # a negative exponent
+            return None
+        if any(map(gt, qe, room)):
+            return None
+        qc, r = divmod(rem[rl], hc)
+        if r:
+            return None
+        out[qe] = qc
+        for e, c in h.items():
+            m = bytes(map(add, qe, e))
+            s = rem.get(m, 0) - qc * c
+            if s:
+                rem[m] = s
+            else:
+                del rem[m]
+    return out
+
+
+def _zz_heu_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
+    """(h, f/h, g/h) with h the gcd over the integers of the nonzero integer
+    polynomials f and g, or None when GCDHEU gives up.
+
+    Binds the first variable to xi = 2 min(|f|, |g|) + 29, with |.| the max
+    norm of a primitive part (the theorem below needs xi >= 2 min + 2), takes
+    the gcd of the images recursively, and lifts it back by xi-adic
+    interpolation.  By the theorem of Char, Geddes and
+    Gonnet (J. Symbolic Comput. 7, 1989) the primitive part of the lift is
+    the gcd when it divides both primitive parts, which trial division
+    checks.  Tries at most six points, growing xi as they do."""
+    if not next(iter(f)):
+        a, b = f[b""], g[b""]
+        h = math.gcd(a, b)
+        return {b"": h}, {b"": a // h}, {b"": b // h}
+    cf = math.gcd(*f.values())
+    cg = math.gcd(*g.values())
+    c = math.gcd(cf, cg)
+    if cf != 1:
+        f = {e: v // cf for e, v in f.items()}
+    if cg != 1:
+        g = {e: v // cg for e, v in g.items()}
+    cap = min(max(e[0] for e in f), max(e[0] for e in g))
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(6):
+        ff = _zz_eval_first(f, xi)
+        gg = _zz_eval_first(g, xi)
+        if ff and gg:
+            got = _zz_heu_gcd(ff, gg)
+            if got is None:
+                return None
+            h = _zz_interpolate(got[0], xi, cap)
+            if h is not None:
+                ch = math.gcd(*h.values())
+                if ch != 1:
+                    h = {e: v // ch for e, v in h.items()}
+                fq = _zz_div(f, h)
+                gq = None if fq is None else _zz_div(g, h)
+                if gq is not None:
+                    return _zz_scale(h, c), _zz_scale(fq, cf // c), _zz_scale(gq, cg // c)
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _zz_form(p: Poly, col: dict) -> tuple[dict, bytes, Fraction]:
+    """(P, m, r) with p = r * x^m * P: P an integer polynomial over the
+    exponents of ``col``'s atoms, primitive and free of monomial content.
+    Raises ValueError for an exponent above 255."""
+    den = math.lcm(*(c.denominator for c in p.values()))
+    exps = []
+    ints = []
+    for mono, c in p.items():
+        v = bytearray(len(col))
+        for atom, e in mono:
+            v[col[atom]] = e
+        exps.append(v)
+        ints.append(c.numerator * (den // c.denominator))
+    cont = math.gcd(*ints)
+    low = bytes(map(min, zip(*exps)))
+    return {bytes(map(sub, v, low)): c // cont for v, c in zip(exps, ints)}, low, Fraction(cont, den)
+
+
+def _from_dense(exps: Iterable[bytes], coeffs: Iterable[Fraction], shift: bytes, atoms: list) -> Poly:
+    """The Poly with the terms c * x^(e + shift), in descending _mono_cmp
+    order."""
+    # with atoms in sort-key order, graded lex is (degree, exponent vector)
+    terms = sorted(zip((bytes(map(add, e, shift)) for e in exps), coeffs),
+                   key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    return {tuple((atoms[i], k) for i, k in enumerate(e) if k): c for e, c in terms}
+
+
+def _heu_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly] | None:
+    """(g, p/g, q/g) with g a gcd of the nonzero polynomials p and q, or None
+    when the heuristic gives up.
+
+    Sides without a common atom, or with a monomial among them, have a
+    monomial gcd.  Otherwise it strips each side's rational and monomial
+    content and runs ``_zz_heu_gcd`` over the union of their atoms in
+    sort-key order.  When g is a constant the cofactors are p and q
+    themselves; otherwise they are new Polys in descending ``_mono_cmp``
+    order, the order ``_pdiv_exact`` gives."""
+    pa, qa = _patoms(p), _patoms(q)
+    if pa.isdisjoint(qa):
+        m = ()
+    elif min(len(p), len(q)) == 1:  # a monomial side: the gcd is a monomial
+        m = _pmono_content([*p, *q])
+    else:
+        atoms = sorted(pa | qa, key=lambda a: a.sort_key)
+        col = {a: i for i, a in enumerate(atoms)}
+        try:
+            P, mp, rp = _zz_form(p, col)
+            Q, mq, rq = _zz_form(q, col)
+        except ValueError:
+            return None
+        mg = bytes(map(min, mp, mq))
+        if any(a and b for a, b in zip(map(max, zip(*P)), map(max, zip(*Q)))):
+            got = _zz_heu_gcd(P, Q)
+            if got is None:
+                return None
+            G, P, Q = got
+            if len(G) > 1 or any(next(iter(G))):
+                return (_from_dense(G, map(Fraction, G.values()), mg, atoms),
+                        _from_dense(P, (rp * c for c in P.values()), bytes(map(sub, mp, mg)), atoms),
+                        _from_dense(Q, (rq * c for c in Q.values()), bytes(map(sub, mq, mg)), atoms))
+        m = tuple((atoms[i], k) for i, k in enumerate(mg) if k)
+    if not m:
+        return {(): _ONE}, p, q
+    return {m: _ONE}, _pdiv_mono(p, m), _pdiv_mono(q, m)
+
+
 Fractional = tuple  # (num, den) pair of Polys; den is monic
 
 
@@ -724,10 +936,14 @@ class Expr:
             return ctx.zero
         dc = _pconst(den)
         if dc is None:
-            g = _pgcd(num, den)
-            if _pconst(g) is None or g[()] != 1:
-                num = _pdiv_exact(num, g)
-                den = _pdiv_exact(den, g)
+            got = _heu_gcd(num, den)
+            if got is not None:
+                _, num, den = got
+            else:
+                g = _pgcd(num, den)
+                if _pconst(g) is None or g[()] != 1:
+                    num = _pdiv_exact(num, g)
+                    den = _pdiv_exact(den, g)
             _, lc = _plead(den)
             if lc != 1:
                 num = _pscale(num, 1 / lc)
@@ -744,9 +960,7 @@ class Expr:
     # -- structure ---------------------------------------------------------
 
     def _sorted_terms(self, poly: Poly) -> list[tuple[Mono, Fraction]]:
-        import functools
-
-        return sorted(poly.items(), key=functools.cmp_to_key(lambda a, b: _mono_cmp(b[0], a[0])))
+        return sorted(poly.items(), key=_DESCENDING)
 
     def _struct_key(self):
         if self._skey is None:

@@ -287,9 +287,8 @@ _COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 _SMALL_POLY = st.dictionaries(_MONO, _COEFF, min_size=1, max_size=3)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_SMALL_POLY, _SMALL_POLY, _SMALL_POLY)
-def test_pgcd_probe_agrees_with_full_euclid(g, a, b):
+def _small_polys(*specs):
+    """The Polys in x, y, z of ``_SMALL_POLY`` specs, and their context."""
     ctx = Context()
     atoms = ctx.declare_symbols(["x", "y", "z"], "coordinate")
 
@@ -302,7 +301,13 @@ def test_pgcd_probe_agrees_with_full_euclid(g, a, b):
             total = total + term
         return total._num
 
-    g, a, b = poly(g), poly(a), poly(b)
+    return ctx, [poly(s) for s in specs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SMALL_POLY, _SMALL_POLY, _SMALL_POLY)
+def test_pgcd_probe_agrees_with_full_euclid(g, a, b):
+    _, (g, a, b) = _small_polys(g, a, b)
     ga, gb = exprs._pmul(g, a), exprs._pmul(g, b)
     probed = exprs._pgcd(ga, gb)
     with pytest.MonkeyPatch.context() as mp:
@@ -312,17 +317,73 @@ def test_pgcd_probe_agrees_with_full_euclid(g, a, b):
         exprs._pdiv_exact(probed, g)  # raises unless g divides the gcd
 
 
+@settings(max_examples=60, deadline=None)
+@given(_SMALL_POLY, _SMALL_POLY, _SMALL_POLY)
+def test_heuristic_gcd_agrees_with_euclid(g, a, b):
+    ctx, (g, a, b) = _small_polys(g, a, b)
+    ga, gb = exprs._pmul(g, a), exprs._pmul(g, b)
+    if not ga or not gb:
+        return
+    h, qa, qb = exprs._heu_gcd(ga, gb)
+    assert exprs._pmonic(h) == exprs._pgcd(ga, gb)
+    assert exprs._pmul(h, qa) == ga and exprs._pmul(h, qb) == gb
+    # without the heuristic, _make takes the Euclid path to the same terms
+    # in the same order
+    made = Expr._make(ctx, ga, gb)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exprs, "_heu_gcd", lambda p, q: None)
+        exact = Expr._make(ctx, ga, gb)
+    assert list(made._num.items()) == list(exact._num.items())
+    assert list(made._den.items()) == list(exact._den.items())
+
+
+def test_exponents_above_255_take_the_exact_gcd(ctx):
+    # the heuristic stores exponents in bytes; past 255 it gives up
+    assert exprs._heu_gcd(ctx.parse("x^256 + y")._num, ctx.parse("x + y")._num) is None
+    assert ctx.parse("(x^256*y - x*y)/(x^2*y + x*y)") == ctx.parse("(x^255 - 1)/(x + 1)")
+
+
+def test_make_orders_terms_as_exact_division_does(ctx):
+    # Expr.atoms(), and so the atom order of every sampled point, follows
+    # the order of the canonical terms, so that order is part of the output
+    def poly(*terms):
+        return {ctx.parse(t)._num.popitem()[0]: Fraction(c) for t, c in terms}
+
+    def descending(p):
+        keys = list(p)
+        return all(exprs._mono_cmp(a, b) > 0 for a, b in zip(keys, keys[1:]))
+
+    # a polynomial gcd, x - z: the cofactors x + y^2 + 1 and y + 2 come out
+    # in descending graded-lex order, y^2 before x, as _pdiv_exact gives them
+    x_z = poly(("z", -1), ("x", 1))
+    num = exprs._pmul(poly(("1", 1), ("x", 1), ("y^2", 1)), x_z)
+    den = exprs._pmul(poly(("1", 2), ("y", 1)), x_z)
+    e = Expr._make(ctx, num, den)
+    assert e == ctx.parse("(x + y^2 + 1)/(y + 2)")
+    assert list(e._num) == list(poly(("y^2", 1), ("x", 1), ("1", 1)))
+    assert descending(e._num) and descending(e._den)
+    # a monomial gcd, x: x*z + x^2*y over x*y or over x*y + x
+    for den in (poly(("x*y", 1)), poly(("x", 1), ("x*y", 1))):
+        e = Expr._make(ctx, poly(("x*z", 1), ("x^2*y", 1)), den)
+        assert list(e._num) == list(poly(("x*y", 1), ("z", 1)))
+        assert descending(e._den)
+    # a trivial gcd leaves the terms in the order they came in
+    num = poly(("1", 1), ("x", 1), ("y^2", 1))
+    den = poly(("y", 1), ("x", 2))
+    e = Expr._make(ctx, num, den)
+    assert (list(e._num), list(e._den)) == (list(num), list(den))
+    assert e == ctx.parse("(1 + x + y^2)/(2*x + y)")
+
+
 # exponents of x, y, z and f(x, y); x up to 2, so that terms need different
 # powers of the denominator x is bound to
 _SPEC = st.dictionaries(st.tuples(st.integers(0, 2), *[st.integers(0, 1)] * 3), _COEFF, min_size=1, max_size=3)
-# Bound values stay linear in each atom, with two terms: with three terms
-# some draws reach a gcd that the pseudo-remainder Euclid takes minutes over.
-_BOUND = st.dictionaries(st.tuples(*[st.integers(0, 1)] * 4), _COEFF, min_size=1, max_size=2)
+# Bound values are linear in each atom, with up to three terms; such draws
+# once sent the pseudo-remainder Euclid into minutes-long gcds.
+_BOUND = st.dictionaries(st.tuples(*[st.integers(0, 1)] * 4), _COEFF, min_size=1, max_size=3)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_SPEC, _SPEC, _BOUND, _BOUND, _BOUND)
-def test_subs_matches_termwise_reference(num, den, bx_num, bx_den, by):
+def _check_subs_against_termwise_reference(num, den, bx_num, bx_den, by):
     # e is a fraction of polynomials in x, y, z and f(x, y); x and y are bound,
     # z stays.  The reference substitutes monomial by monomial with Expr
     # arithmetic, so every intermediate result is canonicalized.
@@ -351,6 +412,27 @@ def test_subs_matches_termwise_reference(num, den, bx_num, bx_den, by):
     if ref_den.is_zero():  # a singular substitution; test_substitute_singular covers it
         return
     assert e.subs(bindings) == build(num, images) / ref_den
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SPEC, _SPEC, _BOUND, _BOUND, _BOUND)
+def test_subs_matches_termwise_reference(num, den, bx_num, bx_den, by):
+    _check_subs_against_termwise_reference(num, den, bx_num, bx_den, by)
+
+
+def test_subs_of_an_eighteen_over_fifteen_term_quotient():
+    # x -> (2/3*x*y*z + 7/9*z - 7/9*f(x, y))/(x*y*z*f(x, y) + 5/6*y*z*f(x, y) - 5/6*y)
+    # and y -> -2*x*f(x, y) + 4/3*y - 2*z in (-2/3*y*z*f(x, y) + x*f(x, y) - 5/9)/(x*y + x):
+    # the reference's last step divides an 18-term expression by a 15-term
+    # one, which kept the pseudo-remainder Euclid busy for more than a minute
+    F = Fraction
+    _check_subs_against_termwise_reference(
+        {(0, 1, 1, 1): F(-2, 3), (1, 0, 0, 1): F(1), (0, 0, 0, 0): F(-5, 9)},
+        {(1, 1, 0, 0): F(1), (1, 0, 0, 0): F(1)},
+        {(1, 1, 1, 0): F(2, 3), (0, 0, 1, 0): F(7, 9), (0, 0, 0, 1): F(-7, 9)},
+        {(1, 1, 1, 1): F(1), (0, 1, 1, 1): F(5, 6), (0, 1, 0, 0): F(-5, 6)},
+        {(1, 0, 0, 1): F(-2), (0, 1, 0, 0): F(4, 3), (0, 0, 1, 0): F(-2)},
+    )
 
 
 def test_diff_is_the_limit_of_difference_quotients(ctx):
