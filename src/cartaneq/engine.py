@@ -281,9 +281,14 @@ def _first_point(points):
 
 
 def _parameter_rank(grads: list[list[Expr]], group: ParamGroup, rng: random.Random) -> int:
-    """Rank of a parameter Jacobian at a generic point, parameters near the identity."""
+    """Generic rank of a parameter Jacobian.
+
+    It is sampled at a point with the parameters near the identity.  A rank at
+    a point only bounds the generic rank from below, so when the sample falls
+    short of ``len(grads)`` the exact rank over the function field decides."""
     _, numeric = _first_point(generic_points(grads, rng, center=group.identity_values))
-    return symbolic_rank(numeric)
+    rank = symbolic_rank(numeric)
+    return rank if rank == len(grads) else symbolic_rank(grads)
 
 
 def classify_torsion(sol: AbsorptionSolution, rng: random.Random) -> TorsionClassification:

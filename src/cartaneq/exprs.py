@@ -1,11 +1,14 @@
 """Exact rational expression kernel.
 
 Every scalar in the package is an :class:`Expr`: a canonical fraction of
-multivariate polynomials with ``fractions.Fraction`` coefficients.  The
-indeterminates ("atoms") are either declared :class:`Symbol` objects or
-:class:`OpaqueAtom` applications of undetermined functions which carry an
-accumulated multi-index of partial derivatives (so mixed partials commute by
-construction).
+multivariate polynomials with rational coefficients.  A coefficient is an
+``int`` when it is an integer and a ``fractions.Fraction`` only when its
+denominator is above 1, so integer work runs on C integer arithmetic.  It is
+never a float: coefficients are divided only through ``_qdiv``, never with a
+bare ``/``.  The indeterminates ("atoms") are either declared :class:`Symbol`
+objects or :class:`OpaqueAtom` applications of undetermined functions which
+carry an accumulated multi-index of partial derivatives (so mixed partials
+commute by construction).
 
 Canonical form: gcd(numerator, denominator) = 1 and the denominator is monic
 with respect to a fixed graded-lexicographic monomial order.  Two Expr values
@@ -145,10 +148,13 @@ Atom = Union[Symbol, OpaqueAtom]
 Scalar = Union[int, Fraction, "Expr"]
 
 # A monomial is a tuple of (atom, positive exponent) pairs sorted by atom
-# sort_key; () is the monomial 1.  A polynomial is a dict monomial -> Fraction
-# with no zero coefficients.
+# sort_key; () is the monomial 1.  A polynomial is a dict monomial -> nonzero
+# coefficient: an int, or a Fraction with a denominator above 1.  Arithmetic
+# may leave an integral Fraction in a scratch Poly; Expr._make stores it as its
+# int.
 Mono = tuple
 Poly = dict
+Coeff = Union[int, Fraction]
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -232,8 +238,27 @@ def _mono_gcd(a: Mono, b: Mono) -> Mono:
     return tuple(out)
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def _coeff(q: Coeff) -> Coeff:
+    """The rational q as a coefficient: an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _qdiv(a: Coeff, b: Coeff) -> Coeff:
+    """The exact quotient a / b of two coefficients (a bare ``/`` of two
+    ints is a float)."""
+    return _coeff(Fraction(a, b))
+
+
+def _pnormal(p: Poly) -> Poly:
+    """p with each integral Fraction coefficient stored as its int."""
+    for c in p.values():
+        if type(c) is not int:
+            return {m: _coeff(c) for m, c in p.items()}
+    return p
 
 
 def _padd(p: Poly, q: Poly) -> Poly:
@@ -247,7 +272,7 @@ def _padd(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def _paddmul(acc: Poly, p: Poly, m: Mono, c: Fraction) -> None:
+def _paddmul(acc: Poly, p: Poly, m: Mono, c: Coeff) -> None:
     """acc += c * m * p, in place."""
     for pm, pc in p.items():
         mm = _mono_mul(m, pm)
@@ -262,7 +287,7 @@ def _pneg(p: Poly) -> Poly:
     return {m: -c for m, c in p.items()}
 
 
-def _pscale(p: Poly, c: Fraction) -> Poly:
+def _pscale(p: Poly, c: Coeff) -> Poly:
     if not c:
         return {}
     return {m: cc * c for m, cc in p.items()}
@@ -297,7 +322,7 @@ def _ppow(p: Poly, n: int) -> Poly:
     return result
 
 
-def _plead(p: Poly) -> tuple[Mono, Fraction]:
+def _plead(p: Poly) -> tuple[Mono, Coeff]:
     it = iter(p.items())
     best = next(it)
     for item in it:
@@ -312,10 +337,10 @@ def _pmonic(p: Poly) -> Poly:
     _, c = _plead(p)
     if c == 1:
         return p
-    return _pscale(p, 1 / c)
+    return _pscale(p, _qdiv(1, c))
 
 
-def _pconst(p: Poly) -> Fraction | None:
+def _pconst(p: Poly) -> Coeff | None:
     if not p:
         return _ZERO
     if len(p) == 1 and () in p:
@@ -357,7 +382,7 @@ def _pdiv_exact(p: Poly, d: Poly) -> Poly:
         raise DivisionByZeroError("polynomial division by zero")
     dc = _pconst(d)
     if dc is not None:
-        return _pscale(p, 1 / dc)
+        return _pscale(p, _qdiv(1, dc))
     out: Poly = {}
     rem = dict(p)
     dl_m, dl_c = _plead(d)
@@ -366,7 +391,7 @@ def _pdiv_exact(p: Poly, d: Poly) -> Poly:
         if not _mono_divides(dl_m, rl_m):
             raise ExprError("inexact polynomial division")
         qm = _mono_div(rl_m, dl_m)
-        qc = rl_c / dl_c
+        qc = _qdiv(rl_c, dl_c)
         out[qm] = out.get(qm, _ZERO) + qc
         _paddmul(rem, d, qm, -qc)
     return {m: c for m, c in out.items() if c}
@@ -688,7 +713,7 @@ def _zz_heu_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
     return None
 
 
-def _zz_form(p: Poly, col: dict) -> tuple[dict, bytes, Fraction]:
+def _zz_form(p: Poly, col: dict) -> tuple[dict, bytes, Coeff]:
     """(P, m, r) with p = r * x^m * P: P an integer polynomial over the
     exponents of ``col``'s atoms, primitive and free of monomial content.
     Raises ValueError for an exponent above 255."""
@@ -703,10 +728,10 @@ def _zz_form(p: Poly, col: dict) -> tuple[dict, bytes, Fraction]:
         ints.append(c.numerator * (den // c.denominator))
     cont = math.gcd(*ints)
     low = bytes(map(min, zip(*exps)))
-    return {bytes(map(sub, v, low)): c // cont for v, c in zip(exps, ints)}, low, Fraction(cont, den)
+    return {bytes(map(sub, v, low)): c // cont for v, c in zip(exps, ints)}, low, _qdiv(cont, den)
 
 
-def _from_dense(exps: Iterable[bytes], coeffs: Iterable[Fraction], shift: bytes, atoms: list) -> Poly:
+def _from_dense(exps: Iterable[bytes], coeffs: Iterable[Coeff], shift: bytes, atoms: list) -> Poly:
     """The Poly with the terms c * x^(e + shift), in descending _mono_cmp
     order."""
     # with atoms in sort-key order, graded lex is (degree, exponent vector)
@@ -745,7 +770,7 @@ def _heu_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly] | None:
                 return None
             G, P, Q = got
             if len(G) > 1 or any(next(iter(G))):
-                return (_from_dense(G, map(Fraction, G.values()), mg, atoms),
+                return (_from_dense(G, G.values(), mg, atoms),
                         _from_dense(P, (rp * c for c in P.values()), bytes(map(sub, mp, mg)), atoms),
                         _from_dense(Q, (rq * c for c in Q.values()), bytes(map(sub, mq, mg)), atoms))
         m = tuple((atoms[i], k) for i, k in enumerate(mg) if k)
@@ -901,7 +926,7 @@ class Context:
                 raise ExprError("expression belongs to a different context")
             return value
         if isinstance(value, (int, Fraction)):
-            f = Fraction(value)
+            f = _coeff(value)
             return Expr(self, {(): f} if f else {}, {(): _ONE})
         if isinstance(value, Symbol):
             return Expr.from_atom(self, value)
@@ -946,12 +971,15 @@ class Expr:
                     den = _pdiv_exact(den, g)
             _, lc = _plead(den)
             if lc != 1:
-                num = _pscale(num, 1 / lc)
-                den = _pscale(den, 1 / lc)
-        elif dc != 1:
-            num = _pscale(num, 1 / dc)
+                inv = _qdiv(1, lc)
+                num = _pscale(num, inv)
+                den = _pscale(den, inv)
+            den = _pnormal(den)
+        else:
+            if dc != 1:
+                num = _pscale(num, _qdiv(1, dc))
             den = {(): _ONE}
-        return Expr(ctx, num, den)
+        return Expr(ctx, _pnormal(num), den)
 
     @staticmethod
     def from_atom(ctx: Context, atom: Atom) -> "Expr":
@@ -959,7 +987,7 @@ class Expr:
 
     # -- structure ---------------------------------------------------------
 
-    def _sorted_terms(self, poly: Poly) -> list[tuple[Mono, Fraction]]:
+    def _sorted_terms(self, poly: Poly) -> list[tuple[Mono, Coeff]]:
         return sorted(poly.items(), key=_DESCENDING)
 
     def _struct_key(self):
@@ -1019,12 +1047,12 @@ class Expr:
     def as_fraction(self) -> Fraction | None:
         """The exact rational value if the expression is constant, else None."""
         if not self._num:
-            return _ZERO
+            return Fraction(0)
         nc = _pconst(self._num)
         dc = _pconst(self._den)
         if nc is None or dc is None:
             return None
-        return nc / dc
+        return Fraction(nc, dc)
 
     # -- polynomial views ---------------------------------------------------
 
@@ -1261,7 +1289,7 @@ class Expr:
         """Exact numeric value with every atom bound to a rational."""
 
         def eval_poly(poly: Poly) -> Fraction:
-            total = _ZERO
+            total = Fraction(0)
             for m, c in poly.items():
                 val = c
                 for atom, e in m:

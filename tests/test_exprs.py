@@ -479,3 +479,61 @@ def test_subs_diff_and_total_derivative_canonicalize_once(ctx, monkeypatch):
     made.clear()
     total_derivative(sp, e, 0)
     assert len(made) <= 1 + len(opaque)
+
+
+# A step of a random computation in x, y and f(x, y): an operation, two
+# operands picked from the values so far, a rational and a small int.
+_OPS = {
+    "+": lambda a, b, c, k, x, y: a + b,
+    "-": lambda a, b, c, k, x, y: a - b,
+    "*": lambda a, b, c, k, x, y: a * b,
+    "/": lambda a, b, c, k, x, y: a / b,
+    "**": lambda a, b, c, k, x, y: a ** k,
+    "scalars": lambda a, b, c, k, x, y: c * a - k,
+    "rdiv": lambda a, b, c, k, x, y: c / a + Fraction(k, 3),
+    "subs": lambda a, b, c, k, x, y: a.subs({x: b, y: c}),
+    "diff": lambda a, b, c, k, x, y: a.diff(x if k % 2 else y),
+    "eval_partial": lambda a, b, c, k, x, y: a.eval_partial({x: c, y: k}),
+}
+_STEP = st.tuples(st.sampled_from(sorted(_OPS)), st.integers(0, 99), st.integers(0, 99), _COEFF, st.integers(-2, 3))
+
+
+def _all_fraction(e):
+    """e with every coefficient stored as a Fraction, integral ones too."""
+    return Expr(e.ctx, {m: Fraction(c) for m, c in e._num.items()}, {m: Fraction(c) for m, c in e._den.items()})
+
+
+@pytest.mark.parametrize("gcd", ["heuristic", "exact"])
+@settings(max_examples=80, deadline=None)
+@given(steps=st.lists(_STEP, min_size=1, max_size=6))
+def test_coefficients_are_ints_or_fractions_with_a_denominator(gcd, steps):
+    ctx = Context()
+    x, y = ctx.declare_symbols(["x", "y"], "coordinate")
+    f = ctx.declare_opaque("f", ["x", "y"])
+    values = [ctx.expr(x), ctx.apply(f, [x, y]), ctx.expr(Fraction(4, 2)), ctx.parse("2*x + 3*y"), ctx.parse("x/2 - 2/3*y")]
+    with pytest.MonkeyPatch.context() as mp:
+        if gcd == "exact":  # the fallback that _make takes when the heuristic gives up
+            mp.setattr(exprs, "_heu_gcd", lambda p, q: None)
+        for op, i, j, c, k in steps:
+            a, b = values[i % len(values)], values[j % len(values)]
+            try:
+                values.append(_OPS[op](a, b, c, k, x, y))
+            except (DivisionByZeroError, PoleError, SingularSubstitutionError):
+                pass
+    for e in values:
+        inner = [arg for atom in e.all_atoms() if isinstance(atom, exprs.OpaqueAtom) for arg in atom.args]
+        for part in [e, *inner]:
+            for coeff in [*part._num.values(), *part._den.values()]:
+                assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1), (e, coeff)
+        value = e.as_fraction()
+        assert value is None or type(value) is Fraction
+        for point in ({a: n + 2 for n, a in enumerate(e.atoms())}, {a: Fraction(n + 2, 3) for n, a in enumerate(e.atoms())}):
+            try:
+                assert type(e.eval_at(point)) is Fraction
+            except PoleError:
+                pass
+        # the ints change no observable: the all-Fraction form of the same
+        # terms compares, hashes, prints and keys the same
+        old = _all_fraction(e)
+        assert old == e and e == old
+        assert (hash(old), str(old), old._struct_key()) == (hash(e), str(e), e._struct_key())

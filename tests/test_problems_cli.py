@@ -140,6 +140,21 @@ def test_cli_check_and_characters(capsys, tmp_path):
         assert f"jets:   r2 = {r2}, s = {s}, conditions = 0" in out
 
 
+def test_run_verdict_does_not_depend_on_the_seed(capsys):
+    # the seed only picks the points at which ranks are sampled, so every
+    # corpus problem gives one exit code, one outcome and one final s on
+    # seeds 0-39 (the Lagrangian once halted on seeds that drew a4 = 0)
+    for path in sorted(PROBLEMS.glob("*.prob")):
+        verdicts: dict[tuple, list[int]] = {}
+        for seed in range(40):
+            code = main(["run", str(path), "--seed", str(seed)])
+            out, err = capsys.readouterr()
+            outcome = re.findall(r"^outcome: (.*)$", out, re.M)
+            final_s = re.findall(r"characters s = (\(.*?\))", out)[-1:]
+            verdicts.setdefault((code, *outcome, *final_s, err), []).append(seed)
+        assert len(verdicts) == 1, (path.name, verdicts)
+
+
 def test_cli_crosscheck():
     assert main(["crosscheck", str(PROBLEMS / "toy_diag.prob")]) == 0
     assert main(["crosscheck", str(PROBLEMS / "flat_identity.prob")]) == 0
