@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exprs import Context, Expr
-from .linalg import symbolic_rank
+from .linalg import extend_echelon
 
 __all__ = ["CharacterReport", "reduced_characters"]
 
@@ -74,30 +74,32 @@ def reduced_characters(
     witnesses: list[list[Fraction] | None] = []
     notes: list[str] = []
     sym_rows: list[list[Expr]] = []
-    witness_rows: list[list[Expr]] = []
+    # echelon bases of the symbolic and the witness stacks: step k reduces
+    # only its new rows, and a basis's length is the rank of its stack
+    sym_basis: list = []
+    witness_basis: list = []
     prev_rank = 0
     for k in range(n):
         vsyms = [
             ctx.expr(ctx.declare_symbol(f"_dir{k}_{t}", "auxiliary"))
             for t in range(n)
         ]
-        sym_rows.extend(build_rows(vsyms))
-        rk = symbolic_rank(sym_rows)
+        new_rows = build_rows(vsyms)
+        sym_rows.extend(new_rows)
+        sym_basis = extend_echelon(sym_basis, new_rows)
+        rk = len(sym_basis)
         ranks.append(rk)
         s.append(rk - prev_rank)
 
         witness = None
         for cand in _direction_grid(n, rng):
-            rows = witness_rows + build_rows([ctx.expr(c) for c in cand])
-            if symbolic_rank(rows) == rk:
+            basis = extend_echelon(witness_basis, build_rows([ctx.expr(c) for c in cand]))
+            if len(basis) == rk:
                 witness = cand
-                witness_rows = rows
+                witness_basis = basis
                 break
         if witness is None:
             notes.append(f"no grid witness attained certified rank r_{k + 1} = {rk}")
-            witness_rows = witness_rows + build_rows(
-                [ctx.expr(Fraction(0)) for _ in range(n)]
-            )
         witnesses.append(witness)
         prev_rank = rk
     return CharacterReport(s, ranks, witnesses, notes=notes, stacked_rows=sym_rows)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exprs import Context, Expr, ExprError, Symbol
-from .linalg import SingularMatrixError, generic_points, mat_det, mat_inverse, mat_mul, symbolic_rank
+from .linalg import SingularMatrixError, extend_echelon, generic_points, mat_det, mat_inverse, mat_mul
 
 __all__ = [
     "GroupError",
@@ -227,18 +227,20 @@ def right_mc(g: ParamGroup) -> MCBasis:
                 chosen[k] = slot
                 taken.add(slot)
                 break
-    basis_rows = [coeff_rows[s] for s in chosen if s is not None]
+    # the identity unit rows are independent, so a slot is independent of the
+    # chosen ones exactly when it grows the rank of their echelon basis
+    basis = extend_echelon([], [coeff_rows[s] for s in chosen if s is not None])
     for k in range(g.r):
         if chosen[k] is not None:
             continue
         for slot in order:
             if slot in taken:
                 continue
-            cand = basis_rows + [coeff_rows[slot]]
-            if symbolic_rank(cand) == len(cand):
+            grown = extend_echelon(basis, [coeff_rows[slot]])
+            if len(grown) > len(basis):
                 chosen[k] = slot
                 taken.add(slot)
-                basis_rows = cand
+                basis = grown
                 break
         if chosen[k] is None:
             raise GroupError("fewer independent Maurer-Cartan entries than group parameters")

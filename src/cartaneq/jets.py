@@ -19,9 +19,9 @@ from typing import Collection, Iterable, Sequence
 
 from .characters import CharacterReport, reduced_characters
 from .engine import GStructureProblem, loop_stages, target_symbol
-from .exprs import Context, Expr, ExprError, Symbol
+from .exprs import Context, Expr, ExprError, PoleError, Symbol
 from .groups import membership_equations, slot_symbols, solve_linear_in
-from .linalg import eliminate, generic_points, identity_matrix, mat_mul, row_reduce, symbolic_rank
+from .linalg import back_substitute, echelon, generic_points, identity_matrix, mat_mul, row_reduce, symbolic_rank
 
 __all__ = [
     "JetError",
@@ -233,6 +233,15 @@ def _solve_for_jet(
 
 @dataclass
 class ProlongedSystem:
+    """The prolongation of ``base``, kept in echelon form.
+
+    ``coeff_rows`` and ``tmat`` are the top-order coefficient rows and their
+    tracked transforms after :func:`linalg.echelon`: pivot rows are unscaled
+    and not back-substituted, non-pivot rows are zero in the coefficient
+    columns.  Only the solved equations need the Gauss-Jordan form, and
+    :meth:`new_equations` finishes it on demand.
+    """
+
     base: JetSystem
     tops: list[tuple[int, MultiIndex]]
     coeff_rows: list[list[Expr]]
@@ -252,19 +261,22 @@ class ProlongedSystem:
         return total - self.top_rank
 
     def new_equations(self) -> dict[tuple[int, MultiIndex], Expr]:
-        """Solved order-(q+1) equations; materialized on demand."""
+        """Solved order-(q+1) equations; materialized on demand by
+        back-substituting the echelon rows to Gauss-Jordan form."""
         ctx = self.base.space.ctx
+        ncols = len(self.tops)
+        reduced = back_substitute([row + t for row, t in zip(self.coeff_rows, self.tmat)], self.pivots)
         out: dict[tuple[int, MultiIndex], Expr] = {}
         pivot_cols = {c for _, c in self.pivots}
         for r, c in self.pivots:
             rhs = ctx.zero
-            for f, w in enumerate(self.tmat[r]):
+            for f, w in enumerate(reduced[r][ncols:]):
                 if not w.is_zero() and not self.remainders[f].is_zero():
                     rhs = rhs - w * self.remainders[f]
-            for c2 in range(len(self.tops)):
-                if c2 == c or c2 in pivot_cols or self.coeff_rows[r][c2].is_zero():
+            for c2 in range(ncols):
+                if c2 == c or c2 in pivot_cols or reduced[r][c2].is_zero():
                     continue
-                rhs = rhs - self.coeff_rows[r][c2] * ctx.expr(self.base.space.jet(*self.tops[c2]))
+                rhs = rhs - reduced[r][c2] * ctx.expr(self.base.space.jet(*self.tops[c2]))
             out[self.tops[c]] = rhs
         return out
 
@@ -280,9 +292,11 @@ def prolong_system(R: JetSystem) -> ProlongedSystem:
     The prolonged equations are affine in the order-(q+1) jets with top-free
     denominators, so the canonical numerators split into coefficient rows plus
     a lower-order remainder per candidate.  Only the coefficient columns are
-    eliminated (pivoting on the sparsest entry); the remainders are combined
-    once at the end through the tracked transform matrix, which is where the
-    integrability conditions appear.
+    eliminated, forward only (:func:`linalg.echelon`, pivoting on the
+    sparsest entry); the remainders are combined once at the end through the
+    tracked transform matrix of the non-pivot rows, which is where the
+    integrability conditions appear.  The rows are kept in echelon form; see
+    :class:`ProlongedSystem`.
     """
     space = R.space
     ctx = space.ctx
@@ -321,7 +335,7 @@ def prolong_system(R: JetSystem) -> ProlongedSystem:
 
     # [coefficients | tracked transform]
     ident = identity_matrix(ctx, len(rows))
-    reduced, pivots, _ = eliminate([row + unit for row, unit in zip(rows, ident)], ncols, sparsest=True)
+    reduced, pivots = echelon([row + unit for row, unit in zip(rows, ident)], ncols, sparsest=True)
     rows = [r[:ncols] for r in reduced]
     tmat = [r[ncols:] for r in reduced]
 
@@ -475,12 +489,28 @@ def jet_characters(P: ProlongedSystem, rng: random.Random) -> CharacterReport:
 
 def _monitor_regularity(R: JetSystem, report: CharacterReport, rng: random.Random):
     """Character constancy probe at 3 generic points (regularity is assumed,
-    not decided; a drop at a sampled point aborts with a diagnostic)."""
+    not decided; a drop at a sampled point aborts with a diagnostic).
+
+    At each point the rows are first evaluated at the report's witness
+    directions.  A rank there is at most the rank over all directions, which
+    is at most the generic rank, so reaching ``ranks[-1]`` shows no drop.  On
+    a shortfall, a missing witness or a pole, the exact rank over the
+    direction symbols decides."""
     ctx, n = R.space.ctx, R.space.n
-    dirs = {ctx.declare_symbol(f"_dir{k}_{t}", "auxiliary") for k in range(n) for t in range(n)}
-    for point, rows in itertools.islice(generic_points(report.stacked_rows, rng, keep=dirs), 3):
+    dirs = [[ctx.declare_symbol(f"_dir{k}_{t}", "auxiliary") for t in range(n)] for k in range(n)]
+    at_witness = None
+    if None not in report.witnesses:
+        at_witness = {d: v for ds, w in zip(dirs, report.witnesses) for d, v in zip(ds, w)}
+    keep = {d for ds in dirs for d in ds}
+    for point, rows in itertools.islice(generic_points(report.stacked_rows, rng, keep=keep), 3):
         if not point:
             return  # no atom but the directions: the rows are already the generic ones
+        if at_witness is not None:
+            try:
+                if symbolic_rank([[e.eval_at(at_witness) for e in row] for row in rows]) == report.ranks[-1]:
+                    continue
+            except PoleError:
+                pass
         rank = symbolic_rank(rows)
         if rank < report.ranks[-1]:
             raise JetError(

@@ -1,12 +1,21 @@
 """Exact linear algebra over the rational expression field.
 
 Matrices are plain lists of lists of Expr (or of Fraction, for values at
-the points :func:`generic_points` samples).  Every elimination in the package goes through one Gauss-Jordan
-core, :func:`eliminate`, with two pivot rules: the first unused row with a
-nonzero entry, or the sparsest such row.  Determinant, inverse, rank and
-row reduction are thin views of it.  Zero-tests are decidable, so ranks are
-generic ranks over the function field; points where a pivot happens to
-vanish are chart restrictions, not errors.
+the points :func:`generic_points` samples).  Every elimination in the package
+goes through one forward pass, :func:`echelon`, with two pivot rules: the
+first unused row with a nonzero entry, or the sparsest such row.  Callers
+take only the work they read:
+
+* the rank, the determinant, the jet prolongation (non-pivot rows) and the
+  incremental character stacks (:func:`extend_echelon`) stop at the echelon
+  form;
+* the inverse, the absorption solve and :func:`row_reduce`, which read the
+  reduced pivot rows, take :func:`eliminate`, the echelon form finished to
+  Gauss-Jordan form by :func:`back_substitute`.
+
+Zero-tests are decidable, so ranks are generic ranks over the function
+field; points where a pivot happens to vanish are chart restrictions, not
+errors.
 """
 
 from __future__ import annotations
@@ -19,7 +28,10 @@ from .exprs import Context, Expr, ExprError, PoleError, Symbol
 
 __all__ = [
     "SingularMatrixError",
+    "echelon",
+    "back_substitute",
     "eliminate",
+    "extend_echelon",
     "identity_matrix",
     "mat_mul",
     "mat_det",
@@ -31,6 +43,8 @@ __all__ = [
 
 Matrix = list
 Entry = Union[Expr, Fraction]
+# (pivot row, pivot column) pairs, each row zero in the earlier pairs' columns
+EchelonBasis = list[tuple[list[Entry], int]]
 
 
 class SingularMatrixError(ExprError):
@@ -59,24 +73,37 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def eliminate(
+def _clear(rows: list[list[Entry]], targets: Sequence[int], prow: Sequence[Entry], col: int) -> None:
+    """Subtract (f / pv) * prow from each target row, f its entry in ``col``
+    and pv that of the pivot row, which stays as it is."""
+    pv = prow[col]
+    unit = pv == 1
+    for r in targets:
+        f = rows[r][col]
+        if f:
+            m = f if unit else f / pv
+            rows[r] = [x - m * y if y else x for x, y in zip(rows[r], prow)]
+
+
+def echelon(
     rows: Sequence[Sequence[Entry]], npivot_cols: int, *, sparsest: bool = False
-) -> tuple[list[list[Entry]], list[tuple[int, int]], list[Entry]]:
-    """Gauss-Jordan elimination over the first ``npivot_cols`` columns.
+) -> tuple[list[list[Entry]], list[tuple[int, int]]]:
+    """Forward elimination over the first ``npivot_cols`` columns.
 
     Entries are Expr or Fraction; the input is copied.  Columns are taken
     left to right.  The pivot of a column is the first unused row with a
     nonzero entry there (rows are never swapped), or with ``sparsest`` the
     unused row with the fewest terms in the pivot-column block, ties going to
-    the lower row.  Pivot rows are scaled to 1 and their columns cleared
-    everywhere else; trailing columns (tracked transforms, right-hand sides)
-    ride along.  Returns the reduced rows, the (row, col) pivots in column
-    order and each pivot's value before scaling.
+    the lower row.  Each pivot clears its column in the unused rows only and
+    is itself left unscaled, as it was when chosen, so its value is
+    ``rows[r][c]``; trailing columns (tracked transforms, right-hand sides)
+    ride along.  Returns the rows and the (row, col) pivots in column order.
+    The pivots, their values and the non-pivot rows are those of
+    :func:`eliminate`, which is this followed by :func:`back_substitute`.
     """
     rows = [list(r) for r in rows]
     unused = list(range(len(rows)))
     pivots: list[tuple[int, int]] = []
-    values: list[Entry] = []
     for col in range(npivot_cols):
         if not unused:
             break
@@ -89,24 +116,73 @@ def eliminate(
             continue
         unused.remove(piv)
         pivots.append((piv, col))
+        _clear(rows, unused, rows[piv], col)
+    return rows, pivots
+
+
+def back_substitute(rows: Sequence[Sequence[Entry]], pivots: Sequence[tuple[int, int]]) -> list[list[Entry]]:
+    """Finish :func:`echelon` rows to Gauss-Jordan form; the input is copied.
+
+    In pivot order, each pivot row is scaled by its value ``rows[r][c]`` and
+    clears its column in the pivot rows before it, the updates a Gauss-Jordan
+    pass makes to rows that are already pivots, in the same order.
+    """
+    rows = list(rows)
+    done: list[int] = []
+    for piv, col in pivots:
         pv = rows[piv][col]
-        values.append(pv)
         if pv != 1:
             rows[piv] = [x / pv if x else x for x in rows[piv]]
         prow = rows[piv]
-        for r, row in enumerate(rows):
-            f = row[col]
-            if r != piv and f:
-                rows[r] = [x - f * y if y else x for x, y in zip(row, prow)]
-    return rows, pivots, values
+        for r in done:
+            f = rows[r][col]
+            if f:
+                rows[r] = [x - f * y if y else x for x, y in zip(rows[r], prow)]
+        done.append(piv)
+    return rows
+
+
+def eliminate(
+    rows: Sequence[Sequence[Entry]], npivot_cols: int, *, sparsest: bool = False
+) -> tuple[list[list[Entry]], list[tuple[int, int]], list[Entry]]:
+    """Gauss-Jordan elimination over the first ``npivot_cols`` columns.
+
+    :func:`echelon` with the same pivot rules, then :func:`back_substitute`:
+    pivot rows are scaled to 1 and their columns cleared everywhere else.
+    Returns the reduced rows, the (row, col) pivots in column order and each
+    pivot's value before scaling.
+    """
+    rows, pivots = echelon(rows, npivot_cols, sparsest=sparsest)
+    values = [rows[r][c] for r, c in pivots]
+    return back_substitute(rows, pivots), pivots, values
+
+
+def extend_echelon(basis: EchelonBasis, rows: Sequence[Sequence[Entry]]) -> EchelonBasis:
+    """Grow an echelon basis by ``rows``.
+
+    ``basis`` is a list of (pivot row, pivot column) pairs, each row zero in
+    the pivot columns of the pairs before it: ``[]``, or what this returned.
+    The new rows are reduced against it and their own echelon pivot rows are
+    appended, so the length of the result is the rank of every row given so
+    far.  The input basis is not changed.
+    """
+    if not rows:
+        return basis
+    rows = list(rows)
+    every = range(len(rows))
+    for prow, col in basis:
+        _clear(rows, every, prow, col)
+    reduced, pivots = echelon(rows, len(rows[0]))
+    return basis + [(reduced[r], c) for r, c in pivots]
 
 
 def mat_det(m: Matrix) -> Entry:
     """Determinant: the pivot product, signed by the pivot-row permutation."""
     n = len(m)
-    _, pivots, values = eliminate(m, n)
+    rows, pivots = echelon(m, n)
     if len(pivots) < n:
         return m[0][0] * 0  # the zero of the entry type
+    values = [rows[r][c] for r, c in pivots]
     det = values[0]
     for v in values[1:]:
         det = det * v
@@ -132,7 +208,7 @@ def symbolic_rank(rows: Sequence[Sequence[Entry]]) -> int:
     """Generic rank over the function field (or the exact rank of rationals)."""
     if not rows:
         return 0
-    return len(eliminate(rows, len(rows[0]))[1])
+    return len(echelon(rows, len(rows[0]))[1])
 
 
 def row_reduce(rows: Sequence[Sequence[Expr]], npivot_cols: int) -> tuple[list[list[Expr]], list[tuple[int, int]]]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cartaneq import Context, jets
+from cartaneq.characters import CharacterReport
 from cartaneq.cli import main
 from cartaneq.jets import (
     InconsistentSystemError,
@@ -22,6 +23,7 @@ from cartaneq.jets import (
     prolong_system,
     total_derivative,
 )
+from cartaneq.linalg import symbolic_rank
 
 import genprob
 from genutil import corpus_problem, drawn_problem, random_expr
@@ -197,6 +199,59 @@ def test_jet_characters_examples():
     det = JetSystem(sp, {(0, (1, 0)): ctx.zero, (0, (0, 1)): ctx.zero}, 1)
     ch3 = jet_characters(prolong_system(det), random.Random(0))
     assert ch3.s == [0, 0] and ch3.r2 == 0 and ch3.involutive
+
+
+def _rank_calls(monkeypatch):
+    """Record, per rank the regularity probe takes, whether it ran on
+    numbers (True: the witness rank) or over the direction symbols."""
+    calls = []
+
+    def counting(rows):
+        calls.append(all(isinstance(e, Fraction) for row in rows for e in row))
+        return symbolic_rank(rows)
+
+    monkeypatch.setattr(jets, "symbolic_rank", counting)
+    return calls
+
+
+def _hand_report(ctx, rows, ranks, witnesses):
+    """A report over the directions _dir{k}_{t} of a two-variable space."""
+    ctx.declare_symbols([f"_dir{k}_{t}" for k in range(2) for t in range(2)], "auxiliary")
+    return CharacterReport([], ranks, witnesses, stacked_rows=[[ctx.parse(e) for e in row] for row in rows])
+
+
+def test_regularity_probe_falls_back_to_the_exact_rank(monkeypatch):
+    ctx, sp = one_dep_space()
+    R = JetSystem(sp, {}, 1)
+    calls = _rank_calls(monkeypatch)
+    # a claimed generic rank above the rank of the rows: the witness rank
+    # falls short, the exact rank too, and the probe aborts
+    short = _hand_report(ctx, [["x*_dir0_0", "x*_dir0_1"]], [1, 2], [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    with pytest.raises(JetError, match="not constant: rank 1"):
+        jets._monitor_regularity(R, short, random.Random(0))
+    assert calls == [True, False]
+    # no witness: the exact rank alone
+    calls.clear()
+    short.witnesses = [[Fraction(1), Fraction(0)], None]
+    with pytest.raises(JetError, match="not constant: rank 1"):
+        jets._monitor_regularity(R, short, random.Random(0))
+    assert calls == [False]
+    # witnesses that fall short of a rank the rows do have, and a witness at
+    # a pole: the exact rank decides, at each of the 3 points
+    rows = [["x/(_dir0_0 - 1)", "x*_dir0_1"], ["y*_dir1_0", "y*_dir1_1"]]
+    for witnesses in ([[Fraction(2), Fraction(0)], [Fraction(2), Fraction(0)]],
+                      [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]):
+        calls.clear()
+        jets._monitor_regularity(R, _hand_report(ctx, rows, [1, 2], witnesses), random.Random(0))
+        assert calls.count(False) == 3
+
+
+def test_regularity_probe_takes_the_witness_rank_on_lagrangian(monkeypatch):
+    calls = _rank_calls(monkeypatch)
+    jet_characters(prolong_system(encode_gstructure(corpus_problem("lagrangian"))), random.Random(0))
+    # a full rank at the witness directions at every point: no rank over the
+    # direction symbols runs
+    assert calls == [True, True, True]
 
 
 def test_complete_to_involution():

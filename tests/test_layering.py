@@ -7,7 +7,9 @@ numerator and denominator dicts.  Every ``def`` and ``class`` in the package
 is referenced from the package, the tests, the demos or the benchmark (whose
 tracer names the functions it wraps in strings); an ``__all__`` entry alone
 does not count.  Every imported name is loaded somewhere in its module, and
-every function the benchmark's tracer names still exists.
+every function the benchmark's tracer names still exists.  Only the
+functions listed in ``FULL_ELIMINATION`` call the full Gauss-Jordan
+``linalg.eliminate``.
 """
 
 import ast
@@ -41,6 +43,44 @@ def test_guard_catches_violations(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("from .exprs import Expr, _ONE\nfrom cartaneq.exprs import _plead\nn = e._num\nd = e._den\n")
     assert len(_violations(bad)) == 4
+
+
+# The only functions that may run the full Gauss-Jordan ``eliminate``: they
+# read the reduced pivot rows.  A caller that reads only ranks, pivot values
+# or non-pivot rows takes the forward pass ``echelon``.
+FULL_ELIMINATION = {
+    ("linalg.py", "mat_inverse"): "reads the inverse off the reduced [M | I] pivot rows",
+    ("linalg.py", "row_reduce"): "returns the reduced rows to its caller",
+    ("engine.py", "solve_absorption"): "reads the principal unknowns off the reduced pivot rows",
+}
+
+
+def _eliminate_callers(path: Path) -> set[tuple[str, str]]:
+    """(file, outermost function) for every call of a name ``eliminate``."""
+    out = set()
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "eliminate":
+                    out.add((path.name, getattr(top, "name", "<module>")))
+    return out
+
+
+def test_full_elimination_only_where_the_reduced_rows_are_read():
+    callers = set().union(*(_eliminate_callers(p) for p in sorted(PACKAGE.glob("*.py"))))
+    assert callers == set(FULL_ELIMINATION)
+
+
+def test_full_elimination_guard(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from .linalg import eliminate\nimport linalg\n"
+        "def rank(rows):\n    return len(eliminate(rows, 2)[1])\n"
+        "def det(m):\n    def inner():\n        return linalg.eliminate(m, 2)\n    return inner()\n"
+        "x = eliminate([], 0)\ndef fine(rows):\n    return echelon(rows, 2)\n"
+    )
+    assert _eliminate_callers(mod) == {("mod.py", "rank"), ("mod.py", "det"), ("mod.py", "<module>")}
 
 
 def _unreferenced(defining: list[Path], using: list[Path]) -> list[str]:

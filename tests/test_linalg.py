@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cartaneq import Context
 from cartaneq.linalg import (
     SingularMatrixError,
+    back_substitute,
+    echelon,
     eliminate,
+    extend_echelon,
     generic_points,
     identity_matrix,
     mat_det,
@@ -156,3 +160,105 @@ def test_generic_points_keep_and_center(ctx):
         assert list(point) == [x, z]
         assert abs(point[x] - 5) <= 2
         assert values == [[ctx.expr(point[x]) * ctx.sym("y") + ctx.expr(point[z])]]
+
+
+def _reference_eliminate(rows, npivot_cols, *, sparsest=False):
+    """The one-pass Gauss-Jordan core that ``echelon`` + ``back_substitute``
+    replaced, kept verbatim as the oracle."""
+    rows = [list(r) for r in rows]
+    unused = list(range(len(rows)))
+    pivots = []
+    values = []
+    for col in range(npivot_cols):
+        if not unused:
+            break
+        if sparsest:
+            cands = [r for r in unused if rows[r][col]]
+            piv = min(cands, key=lambda r: sum(e.size() for e in rows[r][:npivot_cols]), default=None)
+        else:
+            piv = next((r for r in unused if rows[r][col]), None)
+        if piv is None:
+            continue
+        unused.remove(piv)
+        pivots.append((piv, col))
+        pv = rows[piv][col]
+        values.append(pv)
+        if pv != 1:
+            rows[piv] = [x / pv if x else x for x in rows[piv]]
+        prow = rows[piv]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != piv and f:
+                rows[r] = [x - f * y if y else x for x, y in zip(row, prow)]
+    return rows, pivots, values
+
+
+def _reference_det(m):
+    n = len(m)
+    _, pivots, values = _reference_eliminate(m, n)
+    if len(pivots) < n:
+        return m[0][0] * 0
+    det = values[0]
+    for v in values[1:]:
+        det = det * v
+    order = [r for r, _ in pivots]
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return -det if inversions % 2 else det
+
+
+_ORACLE_CTX = Context()
+_OXS, _OYS = _ORACLE_CTX.declare_symbols(["x", "y"], "coordinate")
+_OX, _OY = _ORACLE_CTX.expr(_OXS), _ORACLE_CTX.expr(_OYS)
+# a few small entries, two of them with a denominator
+_POOL = [_ORACLE_CTX.zero, _ORACLE_CTX.one, _OX, _OY, _OX * _OY - 1, _OX + _OY, 1 / (_OX + 1), _OY / _OX]
+_SMALL_INT = st.integers(-3, 3)
+# an entry: a * pool[i] + b * pool[j], zero about a third of the time
+_ENTRY = st.tuples(_SMALL_INT, st.integers(0, len(_POOL) - 1), _SMALL_INT, st.integers(0, len(_POOL) - 1))
+_MATRIX = st.integers(1, 4).flatmap(
+    lambda ncols: st.lists(st.lists(_ENTRY, min_size=ncols, max_size=ncols), min_size=1, max_size=4)
+)
+
+
+def _oracle_matrix(spec, kind, combine):
+    """Entries from the spec, as Expr or as Fraction (the Expr at x=2, y=3);
+    with ``combine`` a last row that is a combination of the first two."""
+    rows = [[a * _POOL[i] + b * _POOL[j] for a, i, b, j in row] for row in spec]
+    if combine and len(rows) >= 2:
+        rows.append([_OX * u - 2 * v for u, v in zip(rows[0], rows[1])])
+    if kind == "fraction":
+        rows = [[e.eval_at({_OXS: 2, _OYS: 3}) for e in row] for row in rows]
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=_MATRIX, npivot=st.integers(1, 4), kind=st.sampled_from(["expr", "fraction"]),
+       sparsest=st.booleans(), combine=st.booleans(), track=st.booleans())
+def test_eliminate_and_echelon_agree_with_the_reference_gauss_jordan(spec, npivot, kind, sparsest, combine, track):
+    rows = _oracle_matrix(spec, kind, combine)
+    sparsest = sparsest and kind == "expr"  # the sparsest rule weighs Expr terms
+    ncols = len(rows[0])
+    npivot = min(npivot, ncols)
+    if track:  # [rows | I], the tracked transform of the absorption solve and prolongation
+        one, zero = (_ORACLE_CTX.one, _ORACLE_CTX.zero) if kind == "expr" else (Fraction(1), Fraction(0))
+        rows = [row + [one if f == e else zero for f in range(len(rows))] for e, row in enumerate(rows)]
+    ref_rows, ref_pivots, ref_values = _reference_eliminate(rows, npivot, sparsest=sparsest)
+    assert eliminate(rows, npivot, sparsest=sparsest) == (ref_rows, ref_pivots, ref_values)
+
+    ech_rows, pivots = echelon(rows, npivot, sparsest=sparsest)
+    assert pivots == ref_pivots
+    assert [ech_rows[r][c] for r, c in pivots] == ref_values
+    pivot_rows = {r for r, _ in pivots}
+    assert [row for r, row in enumerate(ech_rows) if r not in pivot_rows] == [
+        row for r, row in enumerate(ref_rows) if r not in pivot_rows
+    ]
+    assert back_substitute(ech_rows, pivots) == ref_rows
+
+    assert symbolic_rank(rows) == len(_reference_eliminate(rows, len(rows[0]))[1])
+    k = min(len(rows), ncols)
+    square = [row[:k] for row in rows[:k]]
+    assert mat_det(square) == _reference_det(square)
+    # growing an echelon basis row by row reaches the same ranks
+    basis = []
+    for i, row in enumerate(rows):
+        basis = extend_echelon(basis, [row])
+        assert len(basis) == len(_reference_eliminate(rows[: i + 1], len(row))[1])
