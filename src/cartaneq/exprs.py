@@ -779,6 +779,25 @@ def _heu_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly] | None:
     return {m: _ONE}, _pdiv_mono(p, m), _pdiv_mono(q, m)
 
 
+def _gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, p/g, q/g) with g a gcd of the nonzero polynomials p and q: the
+    heuristic gcd, or the exact Euclid when it gives up."""
+    got = _heu_gcd(p, q)
+    if got is not None:
+        return got
+    g = _pgcd(p, q)
+    if _pconst(g) is None or g[()] != 1:
+        return g, _pdiv_exact(p, g), _pdiv_exact(q, g)
+    return g, p, q
+
+
+def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """p and q divided by their gcd; a constant side leaves both as they are."""
+    if _pconst(p) is None and _pconst(q) is None:
+        _, p, q = _gcd_cofactors(p, q)
+    return p, q
+
+
 Fractional = tuple  # (num, den) pair of Polys; den is monic
 
 
@@ -959,27 +978,22 @@ class Expr:
             raise DivisionByZeroError("division by zero expression")
         if not num:
             return ctx.zero
-        dc = _pconst(den)
-        if dc is None:
-            got = _heu_gcd(num, den)
-            if got is not None:
-                _, num, den = got
-            else:
-                g = _pgcd(num, den)
-                if _pconst(g) is None or g[()] != 1:
-                    num = _pdiv_exact(num, g)
-                    den = _pdiv_exact(den, g)
-            _, lc = _plead(den)
-            if lc != 1:
-                inv = _qdiv(1, lc)
-                num = _pscale(num, inv)
-                den = _pscale(den, inv)
-            den = _pnormal(den)
-        else:
-            if dc != 1:
-                num = _pscale(num, _qdiv(1, dc))
-            den = {(): _ONE}
-        return Expr(ctx, _pnormal(num), den)
+        if _pconst(den) is None:
+            _, num, den = _gcd_cofactors(num, den)
+        return Expr._reduced(ctx, num, den)
+
+    @staticmethod
+    def _reduced(ctx: Context, num: Poly, den: Poly) -> "Expr":
+        """num / den for coprime num and nonzero den: the denominator made
+        monic, no gcd taken."""
+        if not num:
+            return ctx.zero
+        _, lc = _plead(den)
+        if lc != 1:
+            inv = _qdiv(1, lc)
+            num = _pscale(num, inv)
+            den = _pscale(den, inv)
+        return Expr(ctx, _pnormal(num), _pnormal(den))
 
     @staticmethod
     def from_atom(ctx: Context, atom: Atom) -> "Expr":
@@ -1115,10 +1129,22 @@ class Expr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._den == o._den:
-            return Expr._make(self.ctx, _padd(self._num, o._num), self._den)
-        num = _padd(_pmul(self._num, o._den), _pmul(o._num, self._den))
-        return Expr._make(self.ctx, num, _pmul(self._den, o._den))
+        a, b, c, d = self._num, self._den, o._num, o._den
+        if b == d:
+            return Expr._make(self.ctx, _padd(a, c), b)
+        # a/b and c/d are canonical, so only a factor of gcd(b, d) can cancel
+        # (Henrici; Knuth, TAOCP vol. 2, 4.5.1)
+        if _pconst(b) is not None:
+            return Expr._reduced(self.ctx, _padd(_pmul(a, d), c), d)
+        if _pconst(d) is not None:
+            return Expr._reduced(self.ctx, _padd(a, _pmul(c, b)), b)
+        g, b1, d1 = _gcd_cofactors(b, d)
+        t = _padd(_pmul(a, d1), _pmul(c, b1))
+        if _pconst(g) is None and _pconst(t) is None:
+            h, t1, g1 = _gcd_cofactors(t, g)
+            if _pconst(h) is None:
+                return Expr._reduced(self.ctx, t1, _pmul(_pmul(b1, d1), g1))
+        return Expr._reduced(self.ctx, t, _pmul(b, d1))  # b * d1 = b1 * d1 * g
 
     __radd__ = __add__
 
@@ -1141,9 +1167,18 @@ class Expr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Expr._make(self.ctx, _pmul(self._num, o._num), _pmul(self._den, o._den))
+        return self._times(o._num, o._den)
 
     __rmul__ = __mul__
+
+    def _times(self, c: Poly, d: Poly) -> "Expr":
+        """self * (c / d) for coprime c and d: gcd(a, b) = gcd(c, d) = 1, so
+        only a with d and c with b can cancel."""
+        if not self._num or not c:
+            return self.ctx.zero
+        a, d = _cancel(self._num, d)
+        c, b = _cancel(c, self._den)
+        return Expr._reduced(self.ctx, _pmul(a, c), _pmul(b, d))
 
     def __truediv__(self, other: Scalar) -> "Expr":
         o = self._coerce(other)
@@ -1151,7 +1186,7 @@ class Expr:
             return NotImplemented
         if o.is_zero():
             raise DivisionByZeroError("division by zero expression")
-        return Expr._make(self.ctx, _pmul(self._num, o._den), _pmul(self._den, o._num))
+        return self._times(o._den, o._num)
 
     def __rtruediv__(self, other: Scalar) -> "Expr":
         o = self._coerce(other)
@@ -1167,8 +1202,9 @@ class Expr:
         if n < 0:
             if self.is_zero():
                 raise DivisionByZeroError("zero to a negative power")
-            return Expr._make(self.ctx, _ppow(self._den, -n), _ppow(self._num, -n))
-        return Expr._make(self.ctx, _ppow(self._num, n), _ppow(self._den, n))
+            return Expr._reduced(self.ctx, _ppow(self._den, -n), _ppow(self._num, -n))
+        # a^n and b^n are coprime when a and b are
+        return Expr._reduced(self.ctx, _ppow(self._num, n), _ppow(self._den, n))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -1287,24 +1323,27 @@ class Expr:
 
     def eval_at(self, point: Mapping[Atom, Fraction | int]) -> Fraction:
         """Exact numeric value with every atom bound to a rational."""
+        values: dict[Atom, Fraction] = {}  # each bound value as a Fraction, once
 
-        def eval_poly(poly: Poly) -> Fraction:
-            total = Fraction(0)
+        def eval_poly(poly: Poly) -> Coeff:
+            total = _ZERO
             for m, c in poly.items():
                 val = c
                 for atom, e in m:
-                    try:
-                        v = point[atom]
-                    except KeyError:
-                        raise UnboundAtomError(f"no binding for {atom}") from None
-                    val *= Fraction(v) ** e
+                    v = values.get(atom)
+                    if v is None:
+                        try:
+                            v = values[atom] = Fraction(point[atom])
+                        except KeyError:
+                            raise UnboundAtomError(f"no binding for {atom}") from None
+                    val *= v if e == 1 else v ** e
                 total += val
             return total
 
         den = eval_poly(self._den)
         if den == 0:
             raise PoleError(f"denominator vanishes at the given point: {self}")
-        return eval_poly(self._num) / den
+        return Fraction(eval_poly(self._num), den)
 
     def eval_partial(self, point: Mapping[Atom, Fraction | int]) -> "Expr":
         """Bind the atoms in ``point`` to rationals, keeping the rest symbolic."""

@@ -222,7 +222,7 @@ def generic_points(rows: Sequence[Sequence[Expr]], rng: random.Random, *, center
     """Seeded random rational points at which no entry of ``rows`` has a pole.
 
     Yields ``(point, values)``: ``point`` binds each atom of ``rows`` not in
-    ``keep``, drawn in first-seen order, and ``values`` is ``rows`` evaluated
+    ``keep``, drawn in sort-key order, and ``values`` is ``rows`` evaluated
     there, as Fractions, or as Exprs in the kept atoms.  An atom with a value c
     in ``center`` is drawn as c + i/j (i in [-4, 4], j in [2, 5]); any other
     as +-i/j (i in [1, 9], j in [1, 3]), +i/j when ``positive``.  Draws with a
@@ -231,7 +231,7 @@ def generic_points(rows: Sequence[Sequence[Expr]], rng: random.Random, *, center
     """
     center = center or {}
     evaluate = Expr.eval_partial if keep else Expr.eval_at
-    atoms = list(dict.fromkeys(a for row in rows for e in row for a in e.atoms() if a not in keep))
+    atoms = sorted({a for row in rows for e in row for a in e.atoms() if a not in keep}, key=lambda a: a.sort_key)
     for _ in range(80):
         point = {}
         for a in atoms:

@@ -344,8 +344,9 @@ def test_exponents_above_255_take_the_exact_gcd(ctx):
 
 
 def test_make_orders_terms_as_exact_division_does(ctx):
-    # Expr.atoms(), and so the atom order of every sampled point, follows
-    # the order of the canonical terms, so that order is part of the output
+    # _make emits the terms of a cancelled quotient in the order _pdiv_exact
+    # gives them.  No output depends on it: sampled points bind atoms in
+    # sort-key order, and tests/test_problems_cli.py permutes term order.
     def poly(*terms):
         return {ctx.parse(t)._num.popitem()[0]: Fraction(c) for t, c in terms}
 
@@ -479,6 +480,109 @@ def test_subs_diff_and_total_derivative_canonicalize_once(ctx, monkeypatch):
     made.clear()
     total_derivative(sp, e, 0)
     assert len(made) <= 1 + len(opaque)
+
+
+def test_operators_take_only_the_cross_gcds(ctx, monkeypatch):
+    # canonical operands are coprime, so +, * and / take a gcd only where
+    # factors of different operands can meet
+    pairs = []
+    cofactors = exprs._gcd_cofactors
+
+    def counting(p, q):
+        pairs.append((p, q))
+        return cofactors(p, q)
+
+    monkeypatch.setattr(exprs, "_gcd_cofactors", counting)
+    P = ctx.parse
+    poly, other = P("x^2 + y"), P("x - z")
+    u, v = P("(x + y)/(x - z)"), P("(y + z)/(x + 1)")
+    (a, b), (c, d) = (u._num, u._den), (v._num, v._den)
+    for op, want in [
+        (lambda: poly * other, []),
+        (lambda: poly + v, []),
+        (lambda: v - poly, []),
+        (lambda: u * v, [(a, d), (c, b)]),
+        (lambda: u / v, [(a, c), (d, b)]),
+        (lambda: u + v, [(b, d)]),
+    ]:
+        pairs.clear()
+        op()
+        assert pairs == want
+    # a shared denominator factor: gcd(b, d), then gcd(t, g) with g = x - z
+    w, total = P("y/((x - z)*(y + 2))"), P("((x + y)*(y + 2) + y)/((x - z)*(y + 2))")
+    pairs.clear()
+    assert u + w == total
+    assert len(pairs) == 2 and pairs[0] == (b, w._den)
+    assert exprs._pmonic(pairs[1][1]) == other._num
+
+
+# exponents of x, y and f(x, y)
+_FACTOR = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)), _COEFF.filter(bool), min_size=1, max_size=3)
+# an operand: its own numerator and denominator factors, and the powers of two
+# shared factors S and T in each, so that cross gcds are nontrivial
+_OPERAND = st.tuples(_FACTOR, _FACTOR, *[st.integers(0, 2)] * 4)
+
+
+def _full_route(op, u, v, k):
+    """u op v through one _make of the full product or sum: the reference
+    the operators' cross gcds must agree with."""
+    ctx, make = u.ctx, Expr._make
+    a, b, c, d = u._num, u._den, v._num, v._den
+    if op == "-":
+        op, c = "+", exprs._pneg(c)
+    if op == "+":
+        if b == d:
+            return make(ctx, exprs._padd(a, c), b)
+        return make(ctx, exprs._padd(exprs._pmul(a, d), exprs._pmul(c, b)), exprs._pmul(b, d))
+    if op == "*":
+        return make(ctx, exprs._pmul(a, c), exprs._pmul(b, d))
+    if op == "/":
+        return make(ctx, exprs._pmul(a, d), exprs._pmul(b, c))
+    if k < 0:
+        return make(ctx, exprs._ppow(b, -k), exprs._ppow(a, -k))
+    return make(ctx, exprs._ppow(a, k), exprs._ppow(b, k))
+
+
+@pytest.mark.parametrize("gcd", ["heuristic", "exact"])
+@settings(max_examples=80, deadline=None)
+@given(op=st.sampled_from(["+", "-", "*", "/", "**"]), shared=st.tuples(_FACTOR, _FACTOR),
+       left=_OPERAND, right=_OPERAND, k=st.integers(-2, 3))
+def test_operators_agree_with_the_full_product_route(gcd, op, shared, left, right, k):
+    ctx = Context()
+    x, y = ctx.declare_symbols(["x", "y"], "coordinate")
+    atoms = [ctx.expr(x), ctx.expr(y), ctx.apply(ctx.declare_opaque("f", ["x", "y"]), [x, y])]
+
+    def build(spec):
+        total = ctx.zero
+        for exps, c in spec.items():
+            term = ctx.expr(c)
+            for atom, e in zip(atoms, exps):
+                term = term * atom ** e
+            total = total + term
+        return total._num
+
+    S, T = map(build, shared)
+
+    def operand(spec):
+        num, den, si, ti, sj, tj = spec
+        num = exprs._pmul(exprs._pmul(build(num), exprs._ppow(S, si)), exprs._ppow(T, ti))
+        den = exprs._pmul(exprs._pmul(build(den), exprs._ppow(S, sj)), exprs._ppow(T, tj))
+        return Expr._make(ctx, num, den) if den else None
+
+    u, v = operand(left), operand(right)
+    if u is None or v is None or (op == "/" and not v) or (op == "**" and k < 0 and not u):
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        if gcd == "exact":  # the fallback that the gcd takes when the heuristic gives up
+            mp.setattr(exprs, "_heu_gcd", lambda p, q: None)
+        got = {"+": u.__add__, "-": u.__sub__, "*": u.__mul__, "/": u.__truediv__, "**": lambda _: u ** k}[op](v)
+    # the canonical form is unique, so the oracle may take either gcd; the
+    # exact Euclid can take minutes on the full products
+    want = _full_route(op, u, v, k)
+    assert got == want
+    assert (str(got), hash(got)) == (str(want), hash(want))
+    assert exprs._pgcd(got._num, got._den) == {(): 1}
+    assert exprs._plead(got._den)[1] == 1
 
 
 # A step of a random computation in x, y and f(x, y): an operation, two

@@ -6,6 +6,7 @@ import pytest
 from cartaneq import Context, jets
 from cartaneq.characters import CharacterReport
 from cartaneq.cli import main
+from cartaneq.engine import run_loop
 from cartaneq.jets import (
     InconsistentSystemError,
     JetError,
@@ -24,9 +25,10 @@ from cartaneq.jets import (
     total_derivative,
 )
 from cartaneq.linalg import symbolic_rank
+from cartaneq.problems import load_problem
 
 import genprob
-from genutil import corpus_problem, drawn_problem, random_expr
+from genutil import PROBLEMS, corpus_problem, drawn_problem, random_expr
 
 
 def one_dep_space():
@@ -270,6 +272,22 @@ def test_complete_to_involution():
 
     with pytest.raises(JetError):
         complete_to_involution(R, random.Random(0), cap=0)
+
+
+def test_whole_completion_of_the_lagrangian_ends_where_the_engine_does():
+    # the Cartan-Kuranishi completion of the encoded problem and the
+    # equivalence method end at the same characters, after as many steps:
+    # one adjoined condition against one group reduction, no prolongation
+    problem, policy = load_problem(PROBLEMS / "lagrangian.prob")
+    _, log = complete_to_involution(encode_gstructure(problem), random.Random(0), cap=5)
+    result = run_loop(problem, policy)
+    final = result.loops[-1].characters
+    assert result.outcome == "involutive" and log[-1]["involutive"]
+    assert (tuple(log[-1]["s"]), log[-1]["r_next"]) == (tuple(final.s), final.r2) == ((3, 1, 0), 5)
+    jet_steps = [s["action"] for s in log]
+    engine_steps = [loop.action for loop in result.loops]
+    assert (jet_steps.count("conditions") + jet_steps.count("prolong")
+            == engine_steps.count("reduce") + engine_steps.count("prolong") == 1 + 0)
 
 
 def test_one_prolongation_per_jet_loop(monkeypatch):

@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import json
+import random
 import re
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 
 from cartaneq.cli import main
 from cartaneq.engine import run_loop
+from cartaneq.exprs import Expr
 from cartaneq.problems import ProblemFileError, load_problem, parse_problem_text
 from cartaneq.report import REPORT_SCHEMA, result_to_dict, result_to_json
 
@@ -231,6 +235,55 @@ def test_corpus_run_outputs_match_benchmark_recording(tmp_path, monkeypatch, cap
             h.update(out.encode())
         h.update(err.encode())
         assert (code, h.hexdigest()) == (want["exit"], want["digest"]), argv
+
+
+def _cli_outputs(tmp_path) -> dict:
+    """Exit code, stdout, stderr and JSON report of run --json, characters,
+    crosscheck and check on the corpus and on draws 0-49, the elapsed-time
+    line left out and ``tmp_path`` written as <dir>."""
+    paths = sorted(PROBLEMS.glob("*.prob"))
+    for draw in range(50):
+        paths.append(tmp_path / f"draw-{draw:02d}.prob")
+        paths[-1].write_text(genprob.random_problem_text(draw))
+    report = tmp_path / "report.json"
+    out = {}
+    for path in paths:
+        for command in ("run", "characters", "crosscheck", "check"):
+            report.unlink(missing_ok=True)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([command, str(path)] + (["--json", str(report)] if command == "run" else []))
+            text = re.sub(r"^elapsed: .*\n", "", stdout.getvalue(), flags=re.M).replace(str(tmp_path), "<dir>")
+            out[command, path.name] = (code, text, stderr.getvalue(), report.read_text() if report.exists() else None)
+    return out
+
+
+@pytest.fixture(scope="module")
+def unpermuted_outputs(tmp_path_factory):
+    return _cli_outputs(tmp_path_factory.mktemp("unpermuted"))
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_outputs_do_not_depend_on_term_order(order, unpermuted_outputs, tmp_path, monkeypatch):
+    # every Expr stores its terms in a permuted order; no report, table,
+    # crosscheck or exit code may change
+    rng = random.Random(0)
+
+    def permute(poly):
+        items = list(poly.items())
+        if order == "reversed":
+            items.reverse()
+        else:
+            rng.shuffle(items)
+        return dict(items)
+
+    init = Expr.__init__
+
+    def permuted(self, ctx, num, den):
+        init(self, ctx, permute(num), permute(den))
+
+    monkeypatch.setattr(Expr, "__init__", permuted)
+    assert _cli_outputs(tmp_path) == unpermuted_outputs
 
 
 def test_readme_quick_start_runs_as_documented(monkeypatch, capsys):
