@@ -390,20 +390,11 @@ def reduce_group(
         a, val = hit
         solved = {s: v.subs({a: val}) for s, v in solved.items()}
         solved[a] = val
-    section = dict(solved)
-    for a in p.group.params:
-        if a not in section:
-            section[a] = ctx.expr(p.group.identity_values[a])
-    for _ in range(p.group.r + 1):
-        changed = False
-        for a, v in section.items():
-            if any(s in v.free_symbols for s in p.group.params):
-                section[a] = v.subs(section)
-                changed = True
-        if not changed:
-            break
-    else:
-        raise ReductionNeeded("normalization section does not close under back-substitution")
+    # every equation was solved with the earlier solutions substituted in, and
+    # each solution was substituted back, so a solved value holds only
+    # unsolved parameters; those stay at their identity values
+    unsolved = {a: ctx.expr(p.group.identity_values[a]) for a in p.group.params if a not in solved}
+    section = {a: v.subs(unsolved) for a, v in solved.items()} | unsolved
 
     section_matrix = [[e.subs(section) for e in row] for row in p.group.entries]
 

@@ -1038,20 +1038,6 @@ class Expr:
                         seen.add(id(atom))
                         yield atom
 
-    def all_atoms(self) -> Iterator[Atom]:
-        """Atoms including those inside opaque-function arguments."""
-        seen = set()
-        stack = [self]
-        while stack:
-            e = stack.pop()
-            for atom in e.atoms():
-                if id(atom) in seen:
-                    continue
-                seen.add(id(atom))
-                yield atom
-                if isinstance(atom, OpaqueAtom):
-                    stack.extend(atom.args)
-
     def is_zero(self) -> bool:
         return not self._num
 

@@ -182,10 +182,6 @@ class MCBasis:
     F: dict[tuple[int, int], tuple[Fraction, ...]]
     inverse: list[list[Expr]]
 
-    @property
-    def r(self) -> int:
-        return len(self.slots)
-
 
 def group_inverse(g: ParamGroup) -> list[list[Expr]]:
     """Exact symbolic inverse of the group matrix."""

@@ -21,7 +21,7 @@ from .characters import CharacterReport, reduced_characters
 from .engine import GStructureProblem, loop_stages, target_symbol
 from .exprs import Context, Expr, ExprError, PoleError, Symbol
 from .groups import membership_equations, slot_symbols, solve_linear_in
-from .linalg import back_substitute, echelon, generic_points, identity_matrix, mat_mul, row_reduce, symbolic_rank
+from .linalg import back_substitute, echelon, generic_points, identity_matrix, mat_mul, symbolic_rank
 
 __all__ = [
     "JetError",
@@ -37,7 +37,6 @@ __all__ = [
     "jet_characters",
     "complete_to_involution",
     "encode_gstructure",
-    "intrinsic_conditions",
     "crosscheck_characters",
     "CrosscheckResult",
 ]
@@ -584,64 +583,6 @@ def encode_gstructure(p: GStructureProblem) -> JetSystem:
         solved = {k: v.subs({space.jet(a, J): sol}) for k, v in solved.items()}
         solved[(a, J)] = sol
     return JetSystem(space, solved, 1)
-
-
-def intrinsic_conditions(R: JetSystem) -> list[Expr]:
-    """First-order integrability conditions via the exterior-derivative
-    formulation: expand d of the zero-order contact forms on R, write the
-    parametric du's in horizontal + contact parts with fresh z-slots, and
-    eliminate; the z-free relations are the conditions."""
-    space = R.space
-    ctx = space.ctx
-    n, m = space.n, space.m
-    if R.order != 1:
-        raise JetError("intrinsic condition extraction implemented at order one")
-    prin = R.principal()
-    params = R.parametric_of_order(1)
-    zs = [(b, L, i) for (b, L) in params for i in range(n)]
-    z_index = {key: t for t, key in enumerate(zs)}
-
-    def first_jet(a: int, i: int) -> Expr:
-        key = (a, _shift((0,) * n, i))
-        if key in prin:
-            return R.equations[key]
-        return space.jet_expr(*key)
-
-    # d Upsilon^a|_{R_1} = -sum_i dW_i ^ dx^i with W_i = u^a_i restricted;
-    # the dx^j ^ dx^k slot collects the two legs (l, i) with {l, i} = {j, k},
-    # where dW_i is expanded over the chart (x, u, parametric first jets) of
-    # R_1 and du^b, du^b_L are split into horizontal + contact parts.
-    rows = []
-    for a in range(m):
-        W = [first_jet(a, i) for i in range(n)]
-        for j in range(n):
-            for k in range(j + 1, n):
-                zrow = [ctx.zero] * len(zs)
-                horizontal = ctx.zero
-                for i, other, sign in ((k, j, 1), (j, k, -1)):
-                    e = W[i]
-                    part = e.diff(space.independents[other])
-                    for b in range(m):
-                        d0 = e.diff(space.dependents[b])
-                        if not d0.is_zero():
-                            part = part + d0 * first_jet(b, other)
-                    for (b, L) in params:
-                        dz = e.diff(space.jet(b, L))
-                        if not dz.is_zero():
-                            t = z_index[(b, L, other)]
-                            zrow[t] = zrow[t] + sign * dz
-                    horizontal = horizontal + sign * part
-                rows.append(zrow + [horizontal])
-    reduced, pivots = row_reduce(rows, len(zs))
-    pivot_rows = {r for r, _ in pivots}
-    out = []
-    for r in range(len(reduced)):
-        if r in pivot_rows:
-            continue
-        cond = R.reduce(reduced[r][-1])
-        if not cond.is_zero():
-            out.append(cond)
-    return out
 
 
 @dataclass

@@ -9,9 +9,9 @@ take only the work they read:
 * the rank, the determinant, the jet prolongation (non-pivot rows) and the
   incremental character stacks (:func:`extend_echelon`) stop at the echelon
   form;
-* the inverse, the absorption solve and :func:`row_reduce`, which read the
-  reduced pivot rows, take :func:`eliminate`, the echelon form finished to
-  Gauss-Jordan form by :func:`back_substitute`.
+* the inverse and the absorption solve, which read the reduced pivot rows,
+  take :func:`eliminate`, the echelon form finished to Gauss-Jordan form by
+  :func:`back_substitute`; :func:`row_reduce` returns it to a test reference.
 
 Zero-tests are decidable, so ranks are generic ranks over the function
 field; points where a pivot happens to vanish are chart restrictions, not

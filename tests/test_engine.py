@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartaneq import forms, groups
+from cartaneq import engine, forms, groups
 from cartaneq.engine import (
     EngineError,
     Policy,
@@ -18,11 +18,13 @@ from cartaneq.engine import (
     run_loop,
     solve_absorption,
 )
+from cartaneq.exprs import ExprError
 from cartaneq.forms import Coframe, DiffForm, rewrite_in_coframe
 from cartaneq.groups import group_inverse
 from cartaneq.linalg import mat_inverse, mat_mul
+from cartaneq.problems import load_problem
 
-from genutil import ScriptedRng, corpus_problem, drawn_problem, problem_from_text
+from genutil import PROBLEMS, ScriptedRng, corpus_problem, drawn_problem, problem_from_text
 
 CORPUS = ("flat_gl2", "flat_identity", "lagrangian", "toy_diag", "toy_genuine")
 
@@ -256,6 +258,32 @@ def test_reduce_group_empty_is_identity():
     p = corpus_problem("flat_gl2")
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
     assert reduce_group(p, sol, {}, random.Random(0)) is p
+
+
+def test_normalization_section_is_free_of_group_parameters(monkeypatch):
+    # each residual equation is solved with the earlier solutions substituted
+    # in, and each solution is substituted back into the earlier ones, so one
+    # substitution of the identity values of the unsolved parameters closes
+    # the section g(x): the adapted coframe g(x) A of every reduction, on the
+    # corpus and on every draw that reduces, holds no group parameter.  Draws
+    # 17 and 27 stop inside reduce_group (ROADMAP item 5).
+    reductions = {}
+
+    def spy(p, sol, targets, rng):
+        red = reduce_group(p, sol, targets, rng)
+        params = set(p.group.params)
+        reductions[p.title] = [e for row in red.coframe.transition for e in row if e.free_symbols & params]
+        return red
+
+    monkeypatch.setattr(engine, "reduce_group", spy)
+    runs = [load_problem(path) for path in sorted(PROBLEMS.glob("*.prob"))]
+    runs += [(drawn_problem(draw), Policy()) for draw in range(50)]
+    for problem, policy in runs:
+        try:
+            run_loop(problem, policy)
+        except ExprError:
+            pass
+    assert reductions == {"lagrangian-divergence": [], "toy-diag": [], "random-6": []}
 
 
 def test_reduction_soundness():

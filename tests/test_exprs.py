@@ -193,6 +193,19 @@ def test_clairaut_randomized(ctx):
         assert e.diff(x).diff(y) == e.diff(y).diff(x)
 
 
+def _all_atoms(e: Expr):
+    """The atoms of e, including those inside opaque-function arguments."""
+    seen = set()
+    stack = [e]
+    while stack:
+        for atom in stack.pop().atoms():
+            if id(atom) not in seen:
+                seen.add(id(atom))
+                yield atom
+                if isinstance(atom, exprs.OpaqueAtom):
+                    stack.extend(atom.args)
+
+
 def test_canonicality_against_numeric_sampling(ctx):
     rng = random.Random(4)
     atoms = _atoms_for(ctx)
@@ -204,7 +217,7 @@ def test_canonicality_against_numeric_sampling(ctx):
         for trial in range(10):
             point = {}
             for e in (e1, e2):
-                for atom in e.all_atoms():
+                for atom in _all_atoms(e):
                     point.setdefault(atom, random_fraction(rng, -20, 20, nonzero=True))
             try:
                 va = e1.eval_at({a: point.get(a, Fraction(1)) for a in e1.atoms()})
@@ -625,7 +638,7 @@ def test_coefficients_are_ints_or_fractions_with_a_denominator(gcd, steps):
             except (DivisionByZeroError, PoleError, SingularSubstitutionError):
                 pass
     for e in values:
-        inner = [arg for atom in e.all_atoms() if isinstance(atom, exprs.OpaqueAtom) for arg in atom.args]
+        inner = [arg for atom in _all_atoms(e) if isinstance(atom, exprs.OpaqueAtom) for arg in atom.args]
         for part in [e, *inner]:
             for coeff in [*part._num.values(), *part._den.values()]:
                 assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1), (e, coeff)

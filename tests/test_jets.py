@@ -17,14 +17,13 @@ from cartaneq.jets import (
     complete_to_order,
     crosscheck_characters,
     encode_gstructure,
-    intrinsic_conditions,
     jet_characters,
     multi_indices,
     project_integrability,
     prolong_system,
     total_derivative,
 )
-from cartaneq.linalg import symbolic_rank
+from cartaneq.linalg import row_reduce, symbolic_rank
 from cartaneq.problems import load_problem
 
 import genprob
@@ -399,6 +398,64 @@ def _five_system_corpus():
             1,
         )
     )
+    return out
+
+
+def intrinsic_conditions(R: JetSystem) -> list:
+    """First-order integrability conditions via the exterior-derivative
+    formulation, the reference for ``prolong_system``'s conditions: expand d
+    of the zero-order contact forms on R, write the parametric du's in
+    horizontal + contact parts with fresh z-slots, and eliminate; the z-free
+    relations are the conditions."""
+    space = R.space
+    ctx = space.ctx
+    n, m = space.n, space.m
+    assert R.order == 1
+    prin = R.principal()
+    params = R.parametric_of_order(1)
+    zs = [(b, L, i) for (b, L) in params for i in range(n)]
+    z_index = {key: t for t, key in enumerate(zs)}
+
+    def first_jet(a: int, i: int):
+        key = (a, tuple(int(k == i) for k in range(n)))
+        if key in prin:
+            return R.equations[key]
+        return space.jet_expr(*key)
+
+    # d Upsilon^a|_{R_1} = -sum_i dW_i ^ dx^i with W_i = u^a_i restricted;
+    # the dx^j ^ dx^k slot collects the two legs (l, i) with {l, i} = {j, k},
+    # where dW_i is expanded over the chart (x, u, parametric first jets) of
+    # R_1 and du^b, du^b_L are split into horizontal + contact parts.
+    rows = []
+    for a in range(m):
+        W = [first_jet(a, i) for i in range(n)]
+        for j in range(n):
+            for k in range(j + 1, n):
+                zrow = [ctx.zero] * len(zs)
+                horizontal = ctx.zero
+                for i, other, sign in ((k, j, 1), (j, k, -1)):
+                    e = W[i]
+                    part = e.diff(space.independents[other])
+                    for b in range(m):
+                        d0 = e.diff(space.dependents[b])
+                        if not d0.is_zero():
+                            part = part + d0 * first_jet(b, other)
+                    for (b, L) in params:
+                        dz = e.diff(space.jet(b, L))
+                        if not dz.is_zero():
+                            t = z_index[(b, L, other)]
+                            zrow[t] = zrow[t] + sign * dz
+                    horizontal = horizontal + sign * part
+                rows.append(zrow + [horizontal])
+    reduced, pivots = row_reduce(rows, len(zs))
+    pivot_rows = {r for r, _ in pivots}
+    out = []
+    for r in range(len(reduced)):
+        if r in pivot_rows:
+            continue
+        cond = R.reduce(reduced[r][-1])
+        if not cond.is_zero():
+            out.append(cond)
     return out
 
 

@@ -1,5 +1,6 @@
-"""The polynomial format of the kernel stays inside ``exprs.py``, and every
-definition in the package has a user.
+"""The polynomial format of the kernel stays inside ``exprs.py``, every
+definition in the package has a user, and every function in the package
+serves a command or is listed with the reason it stays.
 
 Other modules use the public ``Expr`` views (``numerator``, ``coefficients``,
 ``linear_in``, ...) and never import a private kernel name or touch the raw
@@ -9,14 +10,22 @@ tracer names the functions it wraps in strings); an ``__all__`` entry alone
 does not count.  Every imported name is loaded somewhere in its module, and
 every function the benchmark's tracer names still exists.  Only the
 functions listed in ``FULL_ELIMINATION`` call the full Gauss-Jordan
-``linalg.eliminate``.
+``linalg.eliminate``.  Every name in a module's ``__all__`` is defined in that
+module.  Every ``def`` is entered by ``run --json``, ``characters``,
+``crosscheck`` or ``check`` on the corpus and the benchmark's random draws,
+or is in ``NEVER_ENTERED`` with its reason.
 """
 
 import ast
+import contextlib
 import importlib
+import importlib.util
+import io
 import sys
 from pathlib import Path
 
+import cartaneq.cli
+import genprob
 import tracer
 
 ROOT = Path(__file__).parent.parent
@@ -50,7 +59,7 @@ def test_guard_catches_violations(tmp_path):
 # or non-pivot rows takes the forward pass ``echelon``.
 FULL_ELIMINATION = {
     ("linalg.py", "mat_inverse"): "reads the inverse off the reduced [M | I] pivot rows",
-    ("linalg.py", "row_reduce"): "returns the reduced rows to its caller",
+    ("linalg.py", "row_reduce"): "returns the reduced rows to its one caller, the reference in tests/test_jets.py",
     ("engine.py", "solve_absorption"): "reads the principal unknowns off the reduced pivot rows",
 }
 
@@ -180,3 +189,214 @@ def test_tracer_names_resolve():
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert all(a is b for a, b in zip(traced(), originals))
     assert all(bindings()[key] is value for key, value in bound.items())
+
+
+def _undefined_exports(path: Path) -> list[str]:
+    """Names in the module's ``__all__`` that the module does not bind."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound: set[str] = set()
+    exported: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                exported = [c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)]
+    return [f"{path.name}: {name}" for name in exported if name not in bound]
+
+
+def test_all_names_are_defined():
+    assert [u for p in sorted(PACKAGE.glob("*.py")) for u in _undefined_exports(p)] == []
+
+
+def test_undefined_export_guard(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        '__all__ = ["f", "C", "X", "Y", "sub", "gone"]\nfrom .sub import sub\n'
+        "def f(): pass\nclass C: pass\nX = 1\nY: int = 2\n"
+    )
+    assert _undefined_exports(mod) == ["mod.py: gone"]
+
+
+# Every def in the package that no command enters, with the reason it stays
+# (ROADMAP item 8).  A function that leaves this list is entered by a command
+# on the inputs of ``_commands``; a listed function that a command enters
+# fails the guard, so the list stays exact.
+GCD_FALLBACK = (
+    "exact gcd behind GCDHEU, the complete path when _heu_gcd gives up (an exponent "
+    "above 255, or six failed evaluation points); tests force it; the benchmark's "
+    "tracer binds _pgcd and _gcd_probe_trivial; ROADMAP item 3 removes it with a "
+    "complete replacement and a benchmark change"
+)
+FORM_API = (
+    "public form API that demos/demo_structure_equations.py shows; the benchmark's "
+    "tracer binds rewrite_in_coframe and exterior_derivative; revisit with the "
+    "benchmark change that unbinds them (ROADMAP item 7)"
+)
+COMPLETION = (
+    "whole-run Cartan-Kuranishi completion, which the demos call; ROADMAP item 4 "
+    "makes it reachable from crosscheck"
+)
+OPERATORS = "protocol of the public Expr type (a number on the left of - or /, hashing) that no command uses"
+REPR = "debugging repr; no output prints it"
+NEVER_ENTERED = {
+    **dict.fromkeys(
+        (
+            "exprs._mono_divides", "exprs._pmonic", "exprs._pdiv_exact", "exprs._from_univar",
+            "exprs._u_content", "exprs._u_primitive", "exprs._u_scale", "exprs._u_sub", "exprs._prem",
+            "exprs._dense_mod", "exprs._gf_gcd_degree", "exprs._gcd_probe_trivial", "exprs._pgcd",
+        ),
+        GCD_FALLBACK,
+    ),
+    **dict.fromkeys(
+        (
+            "forms.Chart.__eq__", "forms.Chart.__hash__", "forms.Chart.__repr__", "forms.Coframe.ctx",
+            "forms.Coframe.element", "forms.Coframe.__eq__", "forms.Coframe.__repr__",
+            "forms.coordinate_coframe", "forms.DiffForm.__init__", "forms.DiffForm.ctx",
+            "forms.DiffForm.zero", "forms.DiffForm.function", "forms.DiffForm.coeff",
+            "forms.DiffForm.is_zero", "forms.DiffForm.__add__", "forms.DiffForm.__neg__",
+            "forms.DiffForm.__sub__", "forms.DiffForm.scale", "forms.DiffForm.__eq__",
+            "forms.DiffForm.__str__", "forms.DiffForm.__repr__", "forms.VectorField.__init__",
+            "forms.VectorField.__repr__", "forms.wedge", "forms.rewrite_in_coframe", "forms.rewrite_by",
+            "forms.exterior_derivative", "forms.interior_product",
+        ),
+        FORM_API,
+    ),
+    "linalg.row_reduce": "the benchmark's tracer binds it; its one caller is the reference in tests/test_jets.py",
+    **dict.fromkeys(
+        (
+            "jets.complete_to_involution", "jets.ProlongedSystem.new_equations",
+            "jets.ProlongedSystem.as_jet_system", "jets.JetSystem.pretty",
+        ),
+        COMPLETION,
+    ),
+    "jets.JetSystem._name": "names the jet in the duplicate-principal-derivative error, which no encoded problem raises",
+    **dict.fromkeys(("exprs.Expr.__rsub__", "exprs.Expr.__rtruediv__", "exprs.Expr.__hash__"), OPERATORS),
+    **dict.fromkeys(
+        ("exprs.Symbol.__repr__", "exprs.OpaqueFunc.__repr__", "exprs.OpaqueAtom.__repr__", "exprs.Expr.__repr__"),
+        REPR,
+    ),
+}
+
+
+def _defs(path: Path) -> dict[int, str]:
+    """First line -> qualified name (``Class.method``, ``outer.inner``) of
+    every def in the module.  The first line is that of the first decorator,
+    as in the code object's ``co_firstlineno``."""
+    out = {}
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef):
+                    out[min([d.lineno for d in child.decorator_list] + [child.lineno])] = prefix + child.name
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(path.read_text(), str(path)), "")
+    return out
+
+
+def _cold_code(paths: list[Path], run, allowed: dict[str, str]) -> list[str]:
+    """Run ``run()`` and compare the defs of ``paths`` (as ``module.qualname``)
+    that it never entered with ``allowed``: an unlisted def never entered and
+    a listed def that was entered are both faults."""
+    entered = set()
+    # the global trace function sees only the 'call' event of each frame, so
+    # it costs a third of a setprofile hook, which also sees every return and
+    # every C call; returning None leaves the frame untraced
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: entered.add(frame.f_code))
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    lines = {(Path(c.co_filename).resolve(), c.co_firstlineno) for c in entered}
+    cold = {
+        f"{path.stem}.{name}"
+        for path in paths
+        for line, name in _defs(path).items()
+        if (path.resolve(), line) not in lines
+    }
+    return sorted(
+        [f"never entered and not listed: {name}" for name in cold - set(allowed)]
+        + [f"listed but entered: {name}" for name in set(allowed) - cold]
+    )
+
+
+# Inputs that take the paths no corpus problem or draw takes: the ^ and D(...)
+# grammar, a residual normalized as a pure power of a parameter (which then
+# has no triangular recovery plan), and a file that does not parse.
+POWER_PROBLEM = """\
+[coordinates]
+names = x, y
+[coframe]
+A 1 1 = 1/x
+A 1 2 = 0
+A 2 1 = 0
+A 2 2 = D(x^2, x)/(2*x^2)
+[group]
+params = a
+M 1 1 = a^-2
+M 1 2 = 0
+M 2 1 = 0
+M 2 2 = 1
+identity a = 1
+[membership]
+eq = g12
+eq = g21
+eq = g22 - 1
+"""
+MALFORMED_PROBLEM = "[coordinates]\nnames = x\n[coframe]\nA 1 1 = x +\n[group]\nparams =\nM 1 1 = 1\n"
+
+
+def _commands(tmp_path: Path):
+    """``run --json``, ``characters``, ``crosscheck`` and ``check`` on the
+    corpus, on draws 0-49 of the benchmark's generator and on the two inputs
+    above, through ``cli.main`` with the output discarded."""
+    paths = sorted((ROOT / "problems").glob("*.prob"))
+    texts = [genprob.random_problem_text(draw) for draw in range(50)] + [POWER_PROBLEM, MALFORMED_PROBLEM]
+    for k, text in enumerate(texts):
+        paths.append(tmp_path / f"input-{k:02d}.prob")
+        paths[-1].write_text(text)
+    report = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for path in paths:
+            for command in ("run", "characters", "crosscheck", "check"):
+                cartaneq.cli.main([command, str(path)] + (["--json", str(report)] if command == "run" else []))
+
+
+def test_every_function_serves_a_command_or_is_listed(tmp_path):
+    assert all(isinstance(reason, str) and reason for reason in NEVER_ENTERED.values())
+    package = Path(cartaneq.cli.__file__).parent
+    assert _cold_code(sorted(package.glob("*.py")), lambda: _commands(tmp_path), NEVER_ENTERED) == []
+
+
+def test_cold_code_guard(tmp_path):
+    mod = tmp_path / "planted.py"
+    mod.write_text(
+        "def hot():\n    def inner():\n        return 1\n    return inner() + C().m()\n"
+        "def cold():\n    pass\n"
+        "def listed():\n    pass\n"
+        "def stale():\n    pass\n"
+        "class C:\n    @property\n    def p(self):\n        return 0\n"
+        "    def m(self):\n        return self.p\n"
+    )
+    spec = importlib.util.spec_from_file_location("planted", mod)
+    planted = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(planted)
+
+    def run():
+        planted.hot()
+        planted.stale()
+
+    allowed = {"planted.listed": "kept", "planted.stale": "kept"}
+    assert _cold_code([mod], run, allowed) == [
+        "listed but entered: planted.stale",
+        "never entered and not listed: planted.cold",
+    ]
