@@ -14,7 +14,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .characters import CharacterReport, reduced_characters
 from .exprs import Context, Expr, ExprError, PoleError, Symbol
@@ -340,21 +340,44 @@ def _solve_residual_for_param(e: Expr, params: Sequence[Symbol]) -> tuple[Symbol
     return None
 
 
+def _solve_triangular(
+    pairs: Iterable[tuple[TorsionResidual, Expr]],
+    params: Sequence[Symbol],
+    failure: Callable[[TorsionResidual], str],
+) -> tuple[dict[Symbol, Expr], list[tuple[Symbol, Expr]]]:
+    """Solve each ``eq = 0`` of the ``(residual, eq)`` pairs for one parameter,
+    after the earlier solutions, and substitute it back into them, so a solved
+    value holds only unsolved parameters.  Returns the solutions and the steps
+    ``(parameter, value when solved)``; an unsolvable one raises
+    ``ReductionNeeded(failure(residual))``."""
+    solved: dict[Symbol, Expr] = {}
+    steps: list[tuple[Symbol, Expr]] = []
+    for res, eq in pairs:
+        hit = _solve_residual_for_param(eq.subs(solved), params)
+        if hit is None:
+            raise ReductionNeeded(failure(res), [res.expr])
+        a, val = hit
+        solved = {s: v.subs({a: val}) for s, v in solved.items()}
+        solved[a] = val
+        steps.append(hit)
+    return solved, steps
+
+
 def reduce_group(
     p: GStructureProblem,
     sol: AbsorptionSolution,
+    classification: TorsionClassification,
     targets: dict[str, Fraction],
-    rng: random.Random,
 ) -> GStructureProblem:
     """Normalize the group-dependent residuals to the target constants.
 
+    ``classification`` is the one :func:`classify_torsion` made of ``sol``.
     Solves H = b for a normalization section g(x) by triangular elimination
     (one parameter per residual, remaining parameters at identity values),
     then passes to the isotropy group of the target point with the adapted
     coframe g(x) eta.
     """
     ctx = p.ctx
-    classification = classify_torsion(sol, rng)
     if classification.genuine:
         raise ReductionNeeded(
             "genuine invariants present; reduction of the structure group does not apply",
@@ -365,34 +388,17 @@ def reduce_group(
     active = [sol.torsion[i] for i in classification.group_dependent()]
     if not active:
         return p
-
-    # infinitesimal transitivity of the G-action on the residual range, at a
-    # generic group element (right translation makes this the same rank
-    # condition as at the identity-neighborhood sample used in classify)
-    grads = [[res.expr.diff(a) for a in p.group.params] for res in active]
-    if _parameter_rank(grads, p.group, rng) != len(active):
-        raise ReductionNeeded("infinitesimal transitivity check failed at a generic point")
-
-    # normalization section
-    solved: dict[Symbol, Expr] = {}
     for res in active:
         if res.label not in targets:
             raise ReductionNeeded(f"no normalization target for residual {res.label}")
-        b = targets[res.label]
-        eq = (res.expr - ctx.expr(b)).subs(solved)
-        hit = _solve_residual_for_param(eq, p.group.params)
-        if hit is None:
-            raise ReductionNeeded(
-                f"residual {res.expr} = {b} is not solvable for a group parameter "
-                "by triangular elimination",
-                [res.expr],
-            )
-        a, val = hit
-        solved = {s: v.subs({a: val}) for s, v in solved.items()}
-        solved[a] = val
-    # every equation was solved with the earlier solutions substituted in, and
-    # each solution was substituted back, so a solved value holds only
-    # unsolved parameters; those stay at their identity values
+
+    # normalization section; the unsolved parameters stay at their identity values
+    solved, _ = _solve_triangular(
+        ((res, res.expr - ctx.expr(targets[res.label])) for res in active),
+        p.group.params,
+        lambda res: f"residual {res.expr} = {targets[res.label]} is not solvable for a group "
+        "parameter by triangular elimination",
+    )
     unsolved = {a: ctx.expr(p.group.identity_values[a]) for a in p.group.params if a not in solved}
     section = {a: v.subs(unsolved) for a, v in solved.items()} | unsolved
 
@@ -411,21 +417,12 @@ def reduce_group(
     slot_binds = {slots[i][j]: prod[i][j] for i in range(p.n) for j in range(p.n)}
     recovered = {a: plan[a].subs(slot_binds) for a in p.group.params}
 
-    iso_solved: dict[Symbol, Expr] = {}
-    conditions: list[str] = []
-    for res in active:
-        b = targets[res.label]
-        eq = (res.expr.subs(recovered) - ctx.expr(b)).subs(iso_solved)
-        hit = _solve_residual_for_param(eq, h_params)
-        if hit is None:
-            raise ReductionNeeded(
-                f"isotropy equation for residual {res.label} not solvable by triangular elimination",
-                [res.expr],
-            )
-        a, val = hit
-        iso_solved = {s: v.subs({a: val}) for s, v in iso_solved.items()}
-        iso_solved[a] = val
-        conditions.append(f"{a.name} = {val}")
+    iso_solved, steps = _solve_triangular(
+        ((res, res.expr.subs(recovered) - ctx.expr(targets[res.label])) for res in active),
+        h_params,
+        lambda res: f"isotropy equation for residual {res.label} not solvable by triangular elimination",
+    )
+    conditions = [f"{a.name} = {val}" for a, val in steps]
 
     new_params = tuple(a for a in h_params if a not in iso_solved)
     new_entries = [[e.subs(iso_solved) for e in row] for row in h_group.entries]
@@ -660,7 +657,7 @@ def run_loop(p: GStructureProblem, policy: Policy | None = None) -> EquivalenceR
         active = [sol.torsion[i] for i in classification.group_dependent()]
         if active:
             targets, notes = _choose_targets(current, active, policy, rng)
-            reduced = reduce_group(current, sol, targets, rng)
+            reduced = reduce_group(current, sol, classification, targets)
             if reduced.group.r >= current.group.r:
                 raise EngineError("group reduction did not lower the group dimension")
             record(

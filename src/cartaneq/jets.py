@@ -162,6 +162,11 @@ class JetSystem:
                 return
         raise JetError("system is circular: cannot be put in solved form")
 
+    def adjoin(self, key: tuple[int, MultiIndex], F: Expr) -> "JetSystem":
+        """The system with u^a_K = F adjoined, for an F that :meth:`reduce`
+        has reduced; re-solving puts the new jet out of every right side."""
+        return JetSystem(self.space, {**self.equations, key: F}, self.order)
+
     def principal(self) -> set[tuple[int, MultiIndex]]:
         return set(self.equations)
 
@@ -190,7 +195,7 @@ _COEFF_CLASS_SOURCE = 2
 _COEFF_CLASS_OTHER = 3
 
 
-def _coeff_class(coeff: Expr, space: JetSpace, units: set) -> int:
+def _coeff_class(coeff: Expr, space: JetSpace, units: Collection) -> int:
     if coeff.as_fraction() is not None:
         return _COEFF_CLASS_CONSTANT
     if coeff.size() == 2 and set(coeff.atoms()) <= units:  # monomial / monomial
@@ -204,16 +209,14 @@ def _coeff_class(coeff: Expr, space: JetSpace, units: set) -> int:
 def _solve_for_jet(
     space: JetSpace,
     e: Expr,
-    taken: Collection[tuple[int, MultiIndex]],
-    units: set,
+    units: Collection,
     max_order: int | None = None,
 ) -> tuple[tuple[int, MultiIndex], Expr] | None:
     """Pick the best jet to solve e = 0 for: highest order first, then the
-    lowest coefficient class, then creation order of the jet."""
+    lowest coefficient class, then creation order of the jet.  An ``e`` that
+    the system has reduced holds no principal jet, so every candidate is new."""
     best = None
     for (a, J) in space.jets_in(e):
-        if (a, J) in taken:
-            continue
         if max_order is not None and sum(J) > max_order:
             continue
         sym = space.jet(a, J)
@@ -363,7 +366,7 @@ def _check_genuine(space: JetSpace, cond: Expr):
         )
 
 
-def _adjoin_conditions(R: JetSystem, conditions: Iterable[Expr], units: set) -> tuple[JetSystem, list[Expr]]:
+def _adjoin_conditions(R: JetSystem, conditions: Iterable[Expr]) -> tuple[JetSystem, list[Expr]]:
     """Adjoin the conditions that are not already implied; returns the new
     system and the surviving (independent) conditions."""
     space = R.space
@@ -374,21 +377,17 @@ def _adjoin_conditions(R: JetSystem, conditions: Iterable[Expr], units: set) -> 
         if reduced.is_zero():
             continue
         _check_genuine(space, reduced)
-        hit = _solve_for_jet(space, reduced, current.principal(), units, max_order=current.order)
+        hit = _solve_for_jet(space, reduced, frozenset(), max_order=current.order)
         if hit is None:
             raise JetError(f"cannot solve integrability condition {reduced} for a jet")
-        (a, J), sol = hit
-        eqs = dict(current.equations)
-        eqs[(a, J)] = sol
-        current = JetSystem(space, eqs, current.order)
+        current = current.adjoin(*hit)
         new.append(reduced)
     return current, new
 
 
 def project_integrability(P: ProlongedSystem) -> tuple[list[Expr], JetSystem]:
     """Lower-order relations not implied by the base, adjoined to it."""
-    units: set = set()
-    reduced_sys, new = _adjoin_conditions(P.base, P.conditions, units)
+    reduced_sys, new = _adjoin_conditions(P.base, P.conditions)
     if new:
         reduced_sys = complete_to_order(reduced_sys)
     return new, reduced_sys
@@ -400,7 +399,6 @@ def complete_to_order(R: JetSystem) -> JetSystem:
     space = R.space
     q = R.order
     current = JetSystem(space, dict(R.equations), q)
-    units: set = set()
     for _ in range(200):
         changed = False
         for (a, K), F in sorted(current.equations.items()):
@@ -417,13 +415,10 @@ def complete_to_order(R: JetSystem) -> JetSystem:
                         "declare the system at a higher order"
                     )
                 _check_genuine(space, cand)
-                hit = _solve_for_jet(space, cand, current.principal(), units, max_order=q)
+                hit = _solve_for_jet(space, cand, frozenset(), max_order=q)
                 if hit is None:
                     raise JetError(f"completion cannot solve {cand} for a jet")
-                (b, J), sol = hit
-                eqs = dict(current.equations)
-                eqs[(b, J)] = sol
-                current = JetSystem(space, eqs, q)
+                current = current.adjoin(*hit)
                 changed = True
                 break
             if changed:
@@ -564,25 +559,19 @@ def encode_gstructure(p: GStructureProblem) -> JetSystem:
     slots = slot_symbols(ctx, n)
     binds = {slots[i][j]: M[i][j] for i in range(n) for j in range(n)}
 
-    units: set = set()
     det = p.coframe.det()
-    for e in (det, det.subs(tmap)):
-        units.update(e.atoms())
+    units = {*det.atoms(), *det.subs(tmap).atoms()}
 
-    solved: dict[tuple[int, MultiIndex], Expr] = {}
+    system = JetSystem(space, {}, 1)
     for eq in eqs:
-        raw = eq.subs(binds)
-        if solved:
-            raw = raw.subs({space.jet(a, J): F for (a, J), F in solved.items()})
+        raw = system.reduce(eq.subs(binds))
         if raw.is_zero():
             continue
-        hit = _solve_for_jet(space, raw, solved, units)
+        hit = _solve_for_jet(space, raw, units)
         if hit is None:
             raise JetError(f"cannot put membership equation {eq} into solved form")
-        (a, J), sol = hit
-        solved = {k: v.subs({space.jet(a, J): sol}) for k, v in solved.items()}
-        solved[(a, J)] = sol
-    return JetSystem(space, solved, 1)
+        system = system.adjoin(*hit)
+    return system
 
 
 @dataclass

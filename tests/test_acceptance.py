@@ -15,6 +15,7 @@ from cartaneq.cli import main
 from cartaneq.engine import (
     build_absorption,
     cartan_characters,
+    classify_torsion,
     compute_structure_data,
     prolonged_group,
     reduce_group,
@@ -50,7 +51,7 @@ def test_criterion_1_lagrangian_loop_one():
     residual = nontrivial[0]
     assert residual.expr == ctx.parse("-(a4^2)/(a1*L_pp(x,u,p))")
 
-    red = reduce_group(p, sol, {residual.label: Fraction(-1)}, random.Random(0))
+    red = reduce_group(p, sol, classify_torsion(sol, random.Random(0)), {residual.label: Fraction(-1)})
     # isotropy condition b1 = b4^2, i.e. the reduced group entries
     b2, b3, b4, b5 = (ctx.sym(s.name) for s in red.group.params)
     expected_entries = [
@@ -80,7 +81,7 @@ def test_criterion_2_lagrangian_loop_two():
     ctx = p.ctx
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
     residual = [t for t in sol.torsion if not t.expr.is_zero()][0]
-    red = reduce_group(p, sol, {residual.label: Fraction(-1)}, random.Random(0))
+    red = reduce_group(p, sol, classify_torsion(sol, random.Random(0)), {residual.label: Fraction(-1)})
 
     # dg g^{-1} of the reduced group against the documented basis choice:
     # the basis form attached to each remaining parameter (b2, b3, b4, b5)

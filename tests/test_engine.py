@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -224,7 +225,7 @@ def test_reduce_group_lagrangian():
     ctx = p.ctx
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
     res = [t for t in sol.torsion if not t.expr.is_zero()][0]
-    red = reduce_group(p, sol, {res.label: Fraction(-1)}, random.Random(0))
+    red = reduce_group(p, sol, classify_torsion(sol, random.Random(0)), {res.label: Fraction(-1)})
     # adapted coframe ((1/L_pp) dx, du - p dx, -E dx + L_pp dp)
     Lpp = ctx.parse("L_pp(x,u,p)")
     assert red.coframe.transition[0][0] == 1 / Lpp
@@ -248,7 +249,7 @@ def test_reduce_group_toy():
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
     res = [t for t in sol.torsion if not t.expr.is_zero()][0]
     assert res.expr == ctx.parse("-1/(x*a)")
-    red = reduce_group(p, sol, {res.label: Fraction(-1)}, random.Random(0))
+    red = reduce_group(p, sol, classify_torsion(sol, random.Random(0)), {res.label: Fraction(-1)})
     assert red.group.r == 0
     assert red.coframe.transition[0][0] == 1 / ctx.sym("x")
     assert red.coframe.transition[1][1] == ctx.sym("x")
@@ -257,7 +258,32 @@ def test_reduce_group_toy():
 def test_reduce_group_empty_is_identity():
     p = corpus_problem("flat_gl2")
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
-    assert reduce_group(p, sol, {}, random.Random(0)) is p
+    assert reduce_group(p, sol, classify_torsion(sol, random.Random(0)), {}) is p
+
+
+def test_reduce_group_refusals():
+    # run_loop halts before reducing on a genuine residual or a rank deficit,
+    # and it names a target for every group-dependent residual, so only a
+    # direct caller meets these refusals
+    p = corpus_problem("toy_genuine")
+    sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
+    cls = classify_torsion(sol, random.Random(0))
+    assert cls.genuine
+    with pytest.raises(ReductionNeeded) as err:
+        reduce_group(p, sol, cls, {})
+    assert str(err.value) == "genuine invariants present; reduction of the structure group does not apply"
+    assert err.value.residuals == [sol.torsion[i].expr for i in cls.genuine]
+
+    p = corpus_problem("lagrangian")
+    sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
+    cls = classify_torsion(sol, random.Random(0))
+    (res,) = [sol.torsion[i] for i in cls.group_dependent()]
+    with pytest.raises(ReductionNeeded) as err:
+        reduce_group(p, sol, dataclasses.replace(cls, full_rank=False), {res.label: Fraction(-1)})
+    assert str(err.value) == "residuals are not jointly full rank in the group parameters"
+    with pytest.raises(ReductionNeeded) as err:
+        reduce_group(p, sol, cls, {})
+    assert str(err.value) == f"no normalization target for residual {res.label}"
 
 
 def test_normalization_section_is_free_of_group_parameters(monkeypatch):
@@ -269,8 +295,8 @@ def test_normalization_section_is_free_of_group_parameters(monkeypatch):
     # 17 and 27 stop inside reduce_group (ROADMAP item 5).
     reductions = {}
 
-    def spy(p, sol, targets, rng):
-        red = reduce_group(p, sol, targets, rng)
+    def spy(p, sol, classification, targets):
+        red = reduce_group(p, sol, classification, targets)
         params = set(p.group.params)
         reductions[p.title] = [e for row in red.coframe.transition for e in row if e.free_symbols & params]
         return red
@@ -292,7 +318,7 @@ def test_reduction_soundness():
     p = corpus_problem("lagrangian")
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
     res = [t for t in sol.torsion if not t.expr.is_zero()][0]
-    red = reduce_group(p, sol, {res.label: Fraction(-1)}, random.Random(0))
+    red = reduce_group(p, sol, classify_torsion(sol, random.Random(0)), {res.label: Fraction(-1)})
     sol2 = solve_absorption(build_absorption(red, compute_structure_data(red)))
     consts = [t.expr.as_fraction() for t in sol2.torsion]
     assert Fraction(-1) in consts
@@ -320,7 +346,7 @@ def test_characters_lagrangian_loop2():
     p = corpus_problem("lagrangian")
     sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
     res = [t for t in sol.torsion if not t.expr.is_zero()][0]
-    red = reduce_group(p, sol, {res.label: Fraction(-1)}, random.Random(0))
+    red = reduce_group(p, sol, classify_torsion(sol, random.Random(0)), {res.label: Fraction(-1)})
     sol2 = solve_absorption(build_absorption(red, compute_structure_data(red)))
     ch = cartan_characters(red, sol2, random.Random(0))
     assert sol2.r2 == 5

@@ -571,6 +571,19 @@ def test_solved_form_rejects_circular():
         JetSystem(sp, {(0, (1, 0)): sp.jet_expr(0, (0, 1)), (0, (0, 1)): sp.jet_expr(0, (1, 0)) + 1}, 1)
 
 
+def test_adjoin_takes_the_new_jet_out_of_every_right_side():
+    # u_x = x u_y + f(u_y) holds u_y at top level and inside an opaque
+    # argument; adjoining u_y = u leaves no right side holding u_y
+    ctx, sp = one_dep_space()
+    ctx.declare_opaque("f", ["s"])
+    sp.jet(0, (0, 1))  # declares u_y
+    R = JetSystem(sp, {(0, (1, 0)): ctx.parse("x*u_y + f(u_y)")}, 1)
+    R2 = R.adjoin((0, (0, 1)), ctx.sym("u"))
+    assert R2.equations == {(0, (1, 0)): ctx.parse("x*u + f(u)"), (0, (0, 1)): ctx.sym("u")}
+    assert all(not (F.free_symbols & {sp.jet(*key) for key in R2.principal()}) for F in R2.equations.values())
+    assert R.equations == {(0, (1, 0)): ctx.parse("x*u_y + f(u_y)")} and R2.order == R.order
+
+
 def test_inconsistent_condition():
     ctx, sp = one_dep_space()
     # u_x = 1 and u_x written through a second equation forcing 0 = 1 after

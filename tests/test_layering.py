@@ -13,20 +13,19 @@ functions listed in ``FULL_ELIMINATION`` call the full Gauss-Jordan
 ``linalg.eliminate``.  Every name in a module's ``__all__`` is defined in that
 module.  Every ``def`` is entered by ``run --json``, ``characters``,
 ``crosscheck`` or ``check`` on the corpus and the benchmark's random draws,
-or is in ``NEVER_ENTERED`` with its reason.
+or is in ``NEVER_ENTERED`` with its reason.  Every parameter of a ``def`` or
+``lambda`` in the package is read in its body.
 """
 
 import ast
-import contextlib
 import importlib
 import importlib.util
-import io
 import sys
 from pathlib import Path
 
 import cartaneq.cli
-import genprob
 import tracer
+from genutil import entered_code
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "cartaneq"
@@ -222,10 +221,43 @@ def test_undefined_export_guard(tmp_path):
     assert _undefined_exports(mod) == ["mod.py: gone"]
 
 
+def _unread_parameters(path: Path) -> list[str]:
+    """Every parameter of a def or lambda, other than a receiver ``self`` or
+    ``cls``, that its body never reads."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "lambda")
+            out += [f"{path.name}:{node.lineno} {name}({p})" for p in params if p not in read | {"self", "cls"}]
+    return out
+
+
+def test_every_parameter_is_read():
+    assert [u for p in sorted(PACKAGE.glob("*.py")) for u in _unread_parameters(p)] == []
+
+
+def test_unread_parameter_guard(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def f(a, b, *args, c, d=1, **kw):\n    def g(e):\n        return b + c\n    return g, kw\n"
+        "class C:\n    def m(self, x):\n        y = 1\n        return y\n"
+        "h = lambda s, t: s\n"
+    )
+    assert sorted(_unread_parameters(mod)) == [
+        "mod.py:1 f(a)", "mod.py:1 f(args)", "mod.py:1 f(d)", "mod.py:2 g(e)", "mod.py:6 m(x)", "mod.py:9 lambda(t)",
+    ]
+
+
 # Every def in the package that no command enters, with the reason it stays
 # (ROADMAP item 8).  A function that leaves this list is entered by a command
-# on the inputs of ``_commands``; a listed function that a command enters
-# fails the guard, so the list stays exact.
+# on the inputs of the ``command_sweep`` fixture; a listed function that a
+# command enters fails the guard, so the list stays exact.
 GCD_FALLBACK = (
     "exact gcd behind GCDHEU, the complete path when _heu_gcd gives up (an exponent "
     "above 255, or six failed evaluation points); tests force it; the benchmark's "
@@ -283,6 +315,17 @@ NEVER_ENTERED = {
 }
 
 
+def test_never_entered_names_the_tracer_binds():
+    # ROADMAP item 8 deletes or moves these once a change to the benchmark
+    # unbinds them; this fails as soon as one is unbound, so that the
+    # deletion goes with that change
+    bound = {f"{layer}.{path}" for layer, _, path in tracer.TRACED} & set(NEVER_ENTERED)
+    assert bound == {
+        "exprs._pgcd", "exprs._gcd_probe_trivial", "forms.rewrite_in_coframe", "forms.exterior_derivative",
+        "linalg.row_reduce",
+    }
+
+
 def _defs(path: Path) -> dict[int, str]:
     """First line -> qualified name (``Class.method``, ``outer.inner``) of
     every def in the module.  The first line is that of the first decorator,
@@ -302,20 +345,10 @@ def _defs(path: Path) -> dict[int, str]:
     return out
 
 
-def _cold_code(paths: list[Path], run, allowed: dict[str, str]) -> list[str]:
-    """Run ``run()`` and compare the defs of ``paths`` (as ``module.qualname``)
-    that it never entered with ``allowed``: an unlisted def never entered and
-    a listed def that was entered are both faults."""
-    entered = set()
-    # the global trace function sees only the 'call' event of each frame, so
-    # it costs a third of a setprofile hook, which also sees every return and
-    # every C call; returning None leaves the frame untraced
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: entered.add(frame.f_code))
-    try:
-        run()
-    finally:
-        sys.settrace(previous)
+def _cold_code(paths: list[Path], entered: set, allowed: dict[str, str]) -> list[str]:
+    """Compare the defs of ``paths`` (as ``module.qualname``) whose code is
+    not in ``entered`` with ``allowed``: an unlisted def never entered and a
+    listed def that was entered are both faults."""
     lines = {(Path(c.co_filename).resolve(), c.co_firstlineno) for c in entered}
     cold = {
         f"{path.stem}.{name}"
@@ -329,52 +362,13 @@ def _cold_code(paths: list[Path], run, allowed: dict[str, str]) -> list[str]:
     )
 
 
-# Inputs that take the paths no corpus problem or draw takes: the ^ and D(...)
-# grammar, a residual normalized as a pure power of a parameter (which then
-# has no triangular recovery plan), and a file that does not parse.
-POWER_PROBLEM = """\
-[coordinates]
-names = x, y
-[coframe]
-A 1 1 = 1/x
-A 1 2 = 0
-A 2 1 = 0
-A 2 2 = D(x^2, x)/(2*x^2)
-[group]
-params = a
-M 1 1 = a^-2
-M 1 2 = 0
-M 2 1 = 0
-M 2 2 = 1
-identity a = 1
-[membership]
-eq = g12
-eq = g21
-eq = g22 - 1
-"""
-MALFORMED_PROBLEM = "[coordinates]\nnames = x\n[coframe]\nA 1 1 = x +\n[group]\nparams =\nM 1 1 = 1\n"
-
-
-def _commands(tmp_path: Path):
-    """``run --json``, ``characters``, ``crosscheck`` and ``check`` on the
-    corpus, on draws 0-49 of the benchmark's generator and on the two inputs
-    above, through ``cli.main`` with the output discarded."""
-    paths = sorted((ROOT / "problems").glob("*.prob"))
-    texts = [genprob.random_problem_text(draw) for draw in range(50)] + [POWER_PROBLEM, MALFORMED_PROBLEM]
-    for k, text in enumerate(texts):
-        paths.append(tmp_path / f"input-{k:02d}.prob")
-        paths[-1].write_text(text)
-    report = tmp_path / "report.json"
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        for path in paths:
-            for command in ("run", "characters", "crosscheck", "check"):
-                cartaneq.cli.main([command, str(path)] + (["--json", str(report)] if command == "run" else []))
-
-
-def test_every_function_serves_a_command_or_is_listed(tmp_path):
+def test_every_function_serves_a_command_or_is_listed(command_sweep):
+    # the session's one CLI sweep (conftest.py): run --json, characters,
+    # crosscheck and check on the corpus, draws 0-49 of the benchmark's
+    # generator and genutil's two extra inputs, under a trace hook
     assert all(isinstance(reason, str) and reason for reason in NEVER_ENTERED.values())
     package = Path(cartaneq.cli.__file__).parent
-    assert _cold_code(sorted(package.glob("*.py")), lambda: _commands(tmp_path), NEVER_ENTERED) == []
+    assert _cold_code(sorted(package.glob("*.py")), command_sweep[0], NEVER_ENTERED) == []
 
 
 def test_cold_code_guard(tmp_path):
@@ -396,7 +390,7 @@ def test_cold_code_guard(tmp_path):
         planted.stale()
 
     allowed = {"planted.listed": "kept", "planted.stale": "kept"}
-    assert _cold_code([mod], run, allowed) == [
+    assert _cold_code([mod], entered_code(run)[0], allowed) == [
         "listed but entered: planted.stale",
         "never entered and not listed: planted.cold",
     ]

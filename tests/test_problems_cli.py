@@ -1,6 +1,4 @@
-import contextlib
 import hashlib
-import io
 import json
 import random
 import re
@@ -15,6 +13,7 @@ from cartaneq.problems import ProblemFileError, load_problem, parse_problem_text
 from cartaneq.report import REPORT_SCHEMA, result_to_dict, result_to_json
 
 import genprob
+from genutil import cli_outputs
 
 ROOT = Path(__file__).parent.parent
 PROBLEMS = ROOT / "problems"
@@ -259,30 +258,9 @@ def test_corpus_run_outputs_match_benchmark_recording(tmp_path, monkeypatch, cap
         assert (code, h.hexdigest()) == (want["exit"], want["digest"]), argv
 
 
-def _cli_outputs(tmp_path) -> dict:
-    """Exit code, stdout, stderr and JSON report of run --json, characters,
-    crosscheck and check on the corpus and on draws 0-49, the elapsed-time
-    line left out and ``tmp_path`` written as <dir>."""
-    paths = sorted(PROBLEMS.glob("*.prob"))
-    for draw in range(50):
-        paths.append(tmp_path / f"draw-{draw:02d}.prob")
-        paths[-1].write_text(genprob.random_problem_text(draw))
-    report = tmp_path / "report.json"
-    out = {}
-    for path in paths:
-        for command in ("run", "characters", "crosscheck", "check"):
-            report.unlink(missing_ok=True)
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main([command, str(path)] + (["--json", str(report)] if command == "run" else []))
-            text = re.sub(r"^elapsed: .*\n", "", stdout.getvalue(), flags=re.M).replace(str(tmp_path), "<dir>")
-            out[command, path.name] = (code, text, stderr.getvalue(), report.read_text() if report.exists() else None)
-    return out
-
-
 @pytest.fixture(scope="module")
-def unpermuted_outputs(tmp_path_factory):
-    return _cli_outputs(tmp_path_factory.mktemp("unpermuted"))
+def unpermuted_outputs(command_sweep):
+    return {key: out for key, out in command_sweep[1].items() if not key[1].startswith("extra-")}
 
 
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
@@ -305,7 +283,7 @@ def test_outputs_do_not_depend_on_term_order(order, unpermuted_outputs, tmp_path
         init(self, ctx, permute(num), permute(den))
 
     monkeypatch.setattr(Expr, "__init__", permuted)
-    assert _cli_outputs(tmp_path) == unpermuted_outputs
+    assert cli_outputs(tmp_path) == unpermuted_outputs
 
 
 def test_readme_quick_start_runs_as_documented(monkeypatch, capsys):
