@@ -472,8 +472,7 @@ def cartan_characters(
             rows.append(row)
         return rows
 
-    report = reduced_characters(ctx, n, r, build_rows, rng)
-    return report.with_fiber_dimension(sol.r2)
+    return reduced_characters(ctx, n, r, build_rows, sol.r2, rng)
 
 
 def prolonged_group(p: GStructureProblem, sol: AbsorptionSolution) -> ParamGroup:

@@ -476,9 +476,9 @@ def jet_characters(P: ProlongedSystem, rng: random.Random) -> CharacterReport:
             out.append(row)
         return out
 
-    report = reduced_characters(ctx, n, len(cols), build_rows, rng)
+    report = reduced_characters(ctx, n, len(cols), build_rows, P.parametric_top_count, rng)
     _monitor_regularity(R, report, rng)
-    return report.with_fiber_dimension(P.parametric_top_count)
+    return report
 
 
 def _monitor_regularity(R: JetSystem, report: CharacterReport, rng: random.Random):

@@ -224,7 +224,7 @@ def test_criterion_5d_r2_mode_equality():
           "and P on 100 randomized problems")
 
 
-def _chars_from_F(ctx, n, r, F, rng):
+def _chars_from_F(ctx, n, r, F, r2, rng):
     def build_rows(v):
         rows = []
         for i in range(n):
@@ -239,7 +239,7 @@ def _chars_from_F(ctx, n, r, F, rng):
             rows.append(row)
         return rows
 
-    return reduced_characters(ctx, n, r, build_rows, rng)
+    return reduced_characters(ctx, n, r, build_rows, r2, rng)
 
 
 def _rand_invertible(rng, n):
@@ -275,7 +275,7 @@ def test_criterion_5e_character_invariance_under_rebasing():
             )
             for slot in F
         }
-        rep1 = _chars_from_F(ctx, n, r, F_alpha, random.Random(0)).with_fiber_dimension(sol.r2)
+        rep1 = _chars_from_F(ctx, n, r, F_alpha, sol.r2, random.Random(0))
         assert rep1.s == base.s and rep1.involutive == base.involutive
 
         # invertible constant re-basing of the horizontal forms: F' = S F S^{-1}
@@ -292,7 +292,7 @@ def test_criterion_5e_character_invariance_under_rebasing():
                             for k in range(r):
                                 vec[k] += w * F[(a, b)][k]
                 F_hor[(i, j)] = tuple(vec)
-        rep2 = _chars_from_F(ctx, n, r, F_hor, random.Random(0)).with_fiber_dimension(sol.r2)
+        rep2 = _chars_from_F(ctx, n, r, F_hor, sol.r2, random.Random(0))
         assert rep2.s == base.s and rep2.involutive == base.involutive
         count += 1
     assert count == 100

@@ -292,7 +292,7 @@ def test_normalization_section_is_free_of_group_parameters(monkeypatch):
     # substitution of the identity values of the unsolved parameters closes
     # the section g(x): the adapted coframe g(x) A of every reduction, on the
     # corpus and on every draw that reduces, holds no group parameter.  Draws
-    # 17 and 27 stop inside reduce_group (ROADMAP item 5).
+    # 17 and 27 stop inside reduce_group (ROADMAP item 6).
     reductions = {}
 
     def spy(p, sol, classification, targets):

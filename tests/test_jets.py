@@ -537,7 +537,7 @@ def test_character_basis_independence():
             rows.append([Rmix * e for e in row])
             return rows
 
-        rep = reduced_characters(ctx, 2, len(cols), build_rows, random.Random(0))
+        rep = reduced_characters(ctx, 2, len(cols), build_rows, base.r2, random.Random(0))
         assert rep.s == base.s
 
 
@@ -559,7 +559,7 @@ def test_implicit_condition_is_refused_not_looped(seed, tmp_path):
     assert main(["run", str(path)]) == 2
 
 
-@pytest.mark.xfail(strict=True, reason="engine counts 2 conditions, jets 1; ROADMAP item 2")
+@pytest.mark.xfail(strict=True, reason="engine counts 2 conditions, jets 1; ROADMAP item 6")
 @pytest.mark.parametrize("seed", [19, 34])
 def test_crosscheck_condition_count_on_mixed_residuals(seed):
     assert crosscheck_characters(drawn_problem(seed), random.Random(0)).equal

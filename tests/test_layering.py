@@ -255,22 +255,22 @@ def test_unread_parameter_guard(tmp_path):
 
 
 # Every def in the package that no command enters, with the reason it stays
-# (ROADMAP item 8).  A function that leaves this list is entered by a command
+# (ROADMAP item 5).  A function that leaves this list is entered by a command
 # on the inputs of the ``command_sweep`` fixture; a listed function that a
 # command enters fails the guard, so the list stays exact.
 GCD_FALLBACK = (
     "exact gcd behind GCDHEU, the complete path when _heu_gcd gives up (an exponent "
     "above 255, or six failed evaluation points); tests force it; the benchmark's "
-    "tracer binds _pgcd and _gcd_probe_trivial; ROADMAP item 3 removes it with a "
+    "tracer binds _pgcd and _gcd_probe_trivial; ROADMAP item 5 removes it with a "
     "complete replacement and a benchmark change"
 )
 FORM_API = (
     "public form API that demos/demo_structure_equations.py shows; the benchmark's "
     "tracer binds rewrite_in_coframe and exterior_derivative; revisit with the "
-    "benchmark change that unbinds them (ROADMAP item 7)"
+    "benchmark change that unbinds them (ROADMAP item 5)"
 )
 COMPLETION = (
-    "whole-run Cartan-Kuranishi completion, which the demos call; ROADMAP item 4 "
+    "whole-run Cartan-Kuranishi completion, which the demos call; ROADMAP item 1 "
     "makes it reachable from crosscheck"
 )
 OPERATORS = "protocol of the public Expr type (a number on the left of - or /, hashing) that no command uses"
@@ -316,7 +316,7 @@ NEVER_ENTERED = {
 
 
 def test_never_entered_names_the_tracer_binds():
-    # ROADMAP item 8 deletes or moves these once a change to the benchmark
+    # ROADMAP item 5 deletes or moves these once a change to the benchmark
     # unbinds them; this fails as soon as one is unbound, so that the
     # deletion goes with that change
     bound = {f"{layer}.{path}" for layer, _, path in tracer.TRACED} & set(NEVER_ENTERED)
