@@ -1,12 +1,14 @@
 """Reduced Cartan characters by rank maximization over contraction directions.
 
-The k-th maximal rank r_k is the rank of the stacked one-form system for k
-directions, built with fresh symbolic direction vectors ``_dir{k}_{t}``: its
-rank over the function field is the true maximum over all real direction
-tuples.  Witness directions exhibit the maxima.
+A system enters as its tableau: ``tableau[i]`` is the system contracted with
+the unit direction e_i, so :func:`contract` (tableau, v) = sum_i v_i T_i.
+The k-th maximal rank r_k is the rank of the tableau contracted with k fresh
+symbolic directions ``_dir{k}_{t}`` and stacked: its rank over the function
+field is the true maximum over all real direction tuples.  Witness
+directions exhibit the maxima.
 
 Each report is first offered to Cartan's test at one sampled point.  The
-stack evaluated there, at unit and unit-pair directions, has ranks
+tableau there, contracted with unit and unit-pair directions, has ranks
 rho_k <= r_k.  When rho_n is the number of columns and the exact fiber
 dimension r2 equals n rho_n - sum_{k<n} rho_k, Cartan's inequality
 r2 <= s_1 + 2 s_2 + ... + n s_n = n r_n - sum_{k<n} r_k forces rho_k = r_k
@@ -23,18 +25,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .exprs import Context, Expr, PoleError, Symbol
-from .linalg import extend_echelon, generic_points
+from .exprs import Context
+from .linalg import Entry, Matrix, extend_echelon, generic_points
 
-__all__ = ["CharacterReport", "reduced_characters"]
+__all__ = ["CharacterReport", "contract", "direction_blocks", "reduced_characters", "tableau_points"]
 
-RowBuilder = Callable[[Sequence[Expr]], list[list[Expr]]]
+Tableau = Sequence[Sequence[Sequence[Entry]]]
 
 # the certification point is drawn from its own generator, seeded with this,
 # so a certified report consumes none of the run's RNG and its point depends
-# only on the rows
+# only on the tableau
 _POINT_SEED = 0
 
 
@@ -49,8 +51,39 @@ class CharacterReport:
     r2: int | None = None
     involutive: bool | None = None
     notes: list[str] = field(default_factory=list)
-    # the rows whose rank is r_n: the system stacked over the directions _dir{k}_{t}
-    stacked_rows: list[list[Expr]] = field(default_factory=list, repr=False)
+    # the tableau whose contractions the ranks are taken of
+    tableau: Tableau = field(default_factory=list, repr=False)
+
+
+def contract(tableau: Tableau, v: Sequence[Entry]) -> Matrix:
+    """The rows sum_i v_i T_i of the tableau contracted with the direction v.
+
+    Entries and components are Expr or Fraction; products with a zero factor
+    are skipped."""
+    rows = []
+    for r, first in enumerate(tableau[0]):
+        rows.append([])
+        for c, entry in enumerate(first):
+            terms = [vi * T[r][c] for vi, T in zip(v, tableau) if vi and T[r][c]]
+            # v_0 T_0 * 0 is the zero of the product's type
+            rows[-1].append(sum(terms[1:], terms[0]) if terms else v[0] * entry * 0)
+    return rows
+
+
+def direction_blocks(ctx: Context, tableau: Tableau) -> list[Matrix]:
+    """The tableau contracted with the direction symbols _dir{k}_0.._dir{k}_{n-1},
+    one block for each k < n: stacked, their rank is the generic one."""
+    n = len(tableau)
+    dirs = [ctx.declare_symbols([f"_dir{k}_{t}" for t in range(n)]) for k in range(n)]
+    return [contract(tableau, [ctx.expr(d) for d in ds]) for ds in dirs]
+
+
+def tableau_points(tableau: Tableau, rng: random.Random) -> Iterator[tuple[dict, list[Matrix]]]:
+    """:func:`generic_points` of the tableau's entries, each point's values
+    given as a tableau of Fractions."""
+    m = len(tableau[0])
+    for point, values in generic_points([row for T in tableau for row in T], rng):
+        yield point, [values[i * m:(i + 1) * m] for i in range(len(tableau))]
 
 
 def _cartan_sum(ranks: list[int]) -> int:
@@ -72,34 +105,24 @@ def _direction_grid(n: int, rng: random.Random) -> Iterator[list[Fraction]]:
         yield [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
 
 
-def _certified(
-    dirs: list[list[Symbol]], blocks: list[list[list[Expr]]], ncols: int, r2: int
-) -> tuple[list[int], list[list[Fraction]]] | None:
+def _certified(tableau: Tableau, ncols: int, r2: int) -> tuple[list[int], list[list[Fraction]]] | None:
     """The ranks and witnesses Cartan's test certifies at one point, or None.
 
     At step k the witness is the first unit-grid direction at which the
     stack reaches its largest rank rho_k, searched no further once rho_k is
     the most that step can reach."""
-    n = len(blocks)
-    keep = {d for ds in dirs for d in ds}
-    stacked = [row for block in blocks for row in block]
-    drawn = next(generic_points(stacked, random.Random(_POINT_SEED), keep=keep), None)
-    if drawn is None:
+    _, at_point = next(tableau_points(tableau, random.Random(_POINT_SEED)), (None, None))
+    if at_point is None:
         return None
-    values = iter(drawn[1])
+    n = len(tableau)
     ranks: list[int] = []
     witnesses: list[list[Fraction]] = []
     basis: list = []
-    for ds, block in zip(dirs, blocks):
-        rows = [next(values) for _ in block]
-        cap = min(len(basis) + len(rows), ncols)
+    for _ in range(n):
+        cap = min(len(basis) + len(tableau[0]), ncols)
         best = None
         for cand in _unit_grid(n):
-            at = dict(zip(ds, cand))
-            try:
-                grown = extend_echelon(basis, [[e.eval_at(at) for e in row] for row in rows])
-            except PoleError:
-                return None
+            grown = extend_echelon(basis, contract(at_point, cand))
             if best is None or len(grown) > len(best[1]):
                 best = (cand, grown)
                 if len(grown) == cap:
@@ -112,34 +135,21 @@ def _certified(
     return ranks, witnesses
 
 
-def reduced_characters(
-    ctx: Context,
-    n: int,
-    ncols: int,
-    build_rows: RowBuilder,
-    r2: int,
-    rng: random.Random,
-) -> CharacterReport:
-    """Greedy characters of the direction-contracted one-form system, tested
-    against the exact fiber dimension ``r2``.
+def reduced_characters(ctx: Context, ncols: int, tableau: Tableau, r2: int, rng: random.Random) -> CharacterReport:
+    """Greedy characters of the tableau, tested against the exact fiber
+    dimension ``r2``.
 
-    ``build_rows(v)`` maps a direction vector (entries Expr) to the rows of
-    the contracted system against a fixed ``ncols``-column basis.  ``rng``
-    is drawn from only when Cartan's test at a point cannot certify the
-    report and a witness is not on the unit grid.
+    ``tableau[i]`` is the system contracted with the unit direction e_i
+    (entries Expr) against a fixed ``ncols``-column basis; n = len(tableau).
+    ``rng`` is drawn from only when Cartan's test at a point cannot certify
+    the report and a witness is not on the unit grid.
     """
+    n = len(tableau)
     if ncols == 0:
-        return CharacterReport([0] * n, [0] * n, [None] * n, r2, r2 == 0)
+        return CharacterReport([0] * n, [0] * n, [None] * n, r2, r2 == 0, tableau=tableau)
 
-    dirs: list[list[Symbol]] = []
-    blocks: list[list[list[Expr]]] = []
-    for k in range(n):
-        # declared step by step: building a block may declare jet symbols
-        dirs.append([ctx.declare_symbol(f"_dir{k}_{t}", "auxiliary") for t in range(n)])
-        blocks.append(build_rows([ctx.expr(d) for d in dirs[-1]]))
-    sym_rows = [row for block in blocks for row in block]
     notes: list[str] = []
-    certified = _certified(dirs, blocks, ncols, r2)
+    certified = _certified(tableau, ncols, r2)
     if certified is not None:
         ranks, witnesses = certified
     else:
@@ -148,14 +158,14 @@ def reduced_characters(
         # only its new rows, and a basis's length is the rank of its stack
         sym_basis: list = []
         witness_basis: list = []
-        for k, block in enumerate(blocks):
+        for k, block in enumerate(direction_blocks(ctx, tableau)):
             sym_basis = extend_echelon(sym_basis, block)
             rk = len(sym_basis)
             ranks.append(rk)
 
             witness = None
             for cand in _direction_grid(n, rng):
-                basis = extend_echelon(witness_basis, build_rows([ctx.expr(c) for c in cand]))
+                basis = extend_echelon(witness_basis, contract(tableau, cand))
                 if len(basis) == rk:
                     witness = cand
                     witness_basis = basis
@@ -164,4 +174,4 @@ def reduced_characters(
                 notes.append(f"no grid witness attained certified rank r_{k + 1} = {rk}")
             witnesses.append(witness)
     s = [rk - prev for rk, prev in zip(ranks, [0] + ranks)]
-    return CharacterReport(s, ranks, witnesses, r2, r2 == _cartan_sum(ranks), notes, sym_rows)
+    return CharacterReport(s, ranks, witnesses, r2, r2 == _cartan_sum(ranks), notes, tableau)

@@ -97,12 +97,15 @@ class StructureData:
     g_coframe: Coframe
 
 
+def target_name(coord: str) -> str:
+    """Name of the target-coordinate twin of a chart coordinate (x -> X, X -> TX)."""
+    name = coord[:1].upper() + coord[1:]
+    return "T" + name if name == coord else name
+
+
 def target_symbol(ctx: Context, coord: Symbol) -> Symbol:
-    """Target-coordinate twin of a chart coordinate (x -> X)."""
-    name = coord.name[:1].upper() + coord.name[1:]
-    if name == coord.name:
-        name = "T" + name
-    return ctx.declare_symbol(name, "jet-variable")
+    """Target-coordinate twin of a chart coordinate."""
+    return ctx.declare_symbol(target_name(coord.name), "jet-variable")
 
 
 def residual_label(e: Expr) -> str:
@@ -454,25 +457,10 @@ def cartan_characters(
     rng: random.Random,
 ) -> CharacterReport:
     """Reduced characters from the constant F-table; test r2 = sum i s_i."""
-    ctx = p.ctx
-    n, r = p.n, p.group.r
-    F = sol.system.data.mc.F
-
-    def build_rows(v: Sequence[Expr]) -> list[list[Expr]]:
-        rows = []
-        for i in range(n):
-            row = []
-            for kappa in range(r):
-                acc = ctx.zero
-                for l in range(n):
-                    f = F[(i, l)][kappa]
-                    if f:
-                        acc = acc + v[l] * ctx.expr(f)
-                row.append(acc)
-            rows.append(row)
-        return rows
-
-    return reduced_characters(ctx, n, r, build_rows, sol.r2, rng)
+    F, n = sol.system.data.mc.F, p.n
+    # contracted with e_l, row i of the system is F^{il}
+    tableau = [[[p.ctx.expr(f) for f in F[(i, l)]] for i in range(n)] for l in range(n)]
+    return reduced_characters(p.ctx, p.group.r, tableau, sol.r2, rng)
 
 
 def prolonged_group(p: GStructureProblem, sol: AbsorptionSolution) -> ParamGroup:

@@ -1331,31 +1331,6 @@ class Expr:
             raise PoleError(f"denominator vanishes at the given point: {self}")
         return Fraction(eval_poly(self._num), den)
 
-    def eval_partial(self, point: Mapping[Atom, Fraction | int]) -> "Expr":
-        """Bind the atoms in ``point`` to rationals, keeping the rest symbolic."""
-
-        def eval_poly(poly: Poly) -> Poly:
-            out: Poly = {}
-            for m, c in poly.items():
-                rest = []
-                for atom, e in m:
-                    if atom in point:
-                        c = c * Fraction(point[atom]) ** e
-                    else:
-                        rest.append((atom, e))
-                rm = tuple(rest)
-                s = out.get(rm, _ZERO) + c
-                if s:
-                    out[rm] = s
-                else:
-                    out.pop(rm, None)
-            return out
-
-        den = eval_poly(self._den)
-        if not den:
-            raise PoleError(f"denominator vanishes at the given point: {self}")
-        return Expr._make(self.ctx, eval_poly(self._num), den)
-
     # -- printing ----------------------------------------------------------
 
     def _poly_str(self, poly: Poly) -> str:

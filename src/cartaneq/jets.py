@@ -12,16 +12,17 @@ equivalence-method loop and the jet loop comparable on the same problem.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Sequence
 
-from .characters import CharacterReport, reduced_characters
+from .characters import CharacterReport, contract, direction_blocks, reduced_characters, tableau_points
 from .engine import GStructureProblem, loop_stages, target_symbol
-from .exprs import Context, Expr, ExprError, PoleError, Symbol
+from .exprs import Context, Expr, ExprError, Symbol
 from .groups import membership_equations, slot_symbols, solve_linear_in
-from .linalg import back_substitute, echelon, generic_points, identity_matrix, mat_mul, symbolic_rank
+from .linalg import back_substitute, echelon, identity_matrix, mat_mul, symbolic_rank
 
 __all__ = [
     "JetError",
@@ -440,72 +441,43 @@ def jet_characters(P: ProlongedSystem, rng: random.Random) -> CharacterReport:
     cols = R.parametric_of_order(q)
     col_index = {key: t for t, key in enumerate(cols)}
 
-    rows_spec = []
-    for a in range(space.m):
-        for J in multi_indices(n, q - 1) if q >= 1 else []:
-            rows_spec.append((a, J))
-
-    # gamma(d u^b_L) per top-order jet needed in the rows
-    gamma_cache: dict[tuple[int, MultiIndex], list[Expr]] = {}
-
-    def gamma_of(b: int, L: MultiIndex) -> list[Expr]:
-        got = gamma_cache.get((b, L))
-        if got is not None:
-            return got
+    @functools.cache
+    def gamma(b: int, L: MultiIndex) -> list[Expr]:
+        """gamma(d u^b_L) in the columns, for a top-order jet u^b_L."""
         vec = [ctx.zero] * len(cols)
         if (b, L) in col_index:
             vec[col_index[(b, L)]] = ctx.one
         elif (b, L) in prin:
             F = R.equations[(b, L)]
             for key, t in col_index.items():
-                d = F.diff(space.jet(*key))
-                if not d.is_zero():
-                    vec[t] = d
-        gamma_cache[(b, L)] = vec
+                vec[t] = F.diff(space.jet(*key))
         return vec
 
-    def build_rows(v: Sequence[Expr]) -> list[list[Expr]]:
-        out = []
-        for (a, J) in rows_spec:
-            row = [ctx.zero] * len(cols)
-            for i in range(n):
-                g = gamma_of(a, _shift(J, i))
-                for t in range(len(cols)):
-                    if not g[t].is_zero():
-                        row[t] = row[t] - v[i] * g[t]
-            out.append(row)
-        return out
-
-    report = reduced_characters(ctx, n, len(cols), build_rows, P.parametric_top_count, rng)
-    _monitor_regularity(R, report, rng)
+    # contracted with e_i, the row of u^a_J is -gamma(d u^a_{J+e_i})
+    rows_spec = [(a, J) for a in range(space.m) for J in (multi_indices(n, q - 1) if q >= 1 else [])]
+    tableau = [[[-g for g in gamma(a, _shift(J, i))] for a, J in rows_spec] for i in range(n)]
+    report = reduced_characters(ctx, len(cols), tableau, P.parametric_top_count, rng)
+    _monitor_regularity(ctx, report, rng)
     return report
 
 
-def _monitor_regularity(R: JetSystem, report: CharacterReport, rng: random.Random):
+def _monitor_regularity(ctx: Context, report: CharacterReport, rng: random.Random):
     """Character constancy probe at 3 generic points (regularity is assumed,
     not decided; a drop at a sampled point aborts with a diagnostic).
 
-    At each point the rows are first evaluated at the report's witness
+    At each point the tableau is first contracted with the report's witness
     directions.  A rank there is at most the rank over all directions, which
     is at most the generic rank, so reaching ``ranks[-1]`` shows no drop.  On
-    a shortfall, a missing witness or a pole, the exact rank over the
-    direction symbols decides."""
-    ctx, n = R.space.ctx, R.space.n
-    dirs = [[ctx.declare_symbol(f"_dir{k}_{t}", "auxiliary") for t in range(n)] for k in range(n)]
-    at_witness = None
-    if None not in report.witnesses:
-        at_witness = {d: v for ds, w in zip(dirs, report.witnesses) for d, v in zip(ds, w)}
-    keep = {d for ds in dirs for d in ds}
-    for point, rows in itertools.islice(generic_points(report.stacked_rows, rng, keep=keep), 3):
+    a shortfall or a missing witness, the exact rank over the direction
+    symbols decides."""
+    for point, at_point in itertools.islice(tableau_points(report.tableau, rng), 3):
         if not point:
-            return  # no atom but the directions: the rows are already the generic ones
-        if at_witness is not None:
-            try:
-                if symbolic_rank([[e.eval_at(at_witness) for e in row] for row in rows]) == report.ranks[-1]:
-                    continue
-            except PoleError:
-                pass
-        rank = symbolic_rank(rows)
+            return  # no atom: the tableau is already the generic one
+        if None not in report.witnesses:
+            stacked = [row for w in report.witnesses for row in contract(at_point, w)]
+            if symbolic_rank(stacked) == report.ranks[-1]:
+                continue
+        rank = symbolic_rank([row for block in direction_blocks(ctx, at_point) for row in block])
         if rank < report.ranks[-1]:
             raise JetError(
                 f"reduced Cartan characters are not constant: rank {rank} at a sampled "

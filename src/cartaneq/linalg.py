@@ -218,20 +218,19 @@ def row_reduce(rows: Sequence[Sequence[Expr]], npivot_cols: int) -> tuple[list[l
 
 
 def generic_points(rows: Sequence[Sequence[Expr]], rng: random.Random, *, center: Mapping[Symbol, Fraction] | None = None,
-                   positive: bool = False, keep: frozenset | set = frozenset()) -> Iterator[tuple[dict, Matrix]]:
+                   positive: bool = False) -> Iterator[tuple[dict, Matrix]]:
     """Seeded random rational points at which no entry of ``rows`` has a pole.
 
-    Yields ``(point, values)``: ``point`` binds each atom of ``rows`` not in
-    ``keep``, drawn in sort-key order, and ``values`` is ``rows`` evaluated
-    there, as Fractions, or as Exprs in the kept atoms.  An atom with a value c
-    in ``center`` is drawn as c + i/j (i in [-4, 4], j in [2, 5]); any other
-    as +-i/j (i in [1, 9], j in [1, 3]), +i/j when ``positive``.  Draws with a
-    pole are skipped, and the generator ends after 80 draws in all, so a
-    caller that needs a point raises its own error when none comes.
+    Yields ``(point, values)``: ``point`` binds each atom of ``rows``, drawn
+    in sort-key order, and ``values`` is ``rows`` evaluated there, as
+    Fractions.  An atom with a value c in ``center`` is drawn as c + i/j
+    (i in [-4, 4], j in [2, 5]); any other as +-i/j (i in [1, 9], j in
+    [1, 3]), +i/j when ``positive``.  Draws with a pole are skipped, and the
+    generator ends after 80 draws in all, so a caller that needs a point
+    raises its own error when none comes.
     """
     center = center or {}
-    evaluate = Expr.eval_partial if keep else Expr.eval_at
-    atoms = sorted({a for row in rows for e in row for a in e.atoms() if a not in keep}, key=lambda a: a.sort_key)
+    atoms = sorted({a for row in rows for e in row for a in e.atoms()}, key=lambda a: a.sort_key)
     for _ in range(80):
         point = {}
         for a in atoms:
@@ -242,7 +241,7 @@ def generic_points(rows: Sequence[Sequence[Expr]], rng: random.Random, *, center
             else:
                 point[a] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3))
         try:
-            values = [[evaluate(e, point) for e in row] for row in rows]
+            values = [[e.eval_at(point) for e in row] for row in rows]
         except PoleError:
             continue
         yield point, values

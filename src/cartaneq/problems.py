@@ -41,7 +41,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from .engine import GStructureProblem, Policy
+from .engine import GStructureProblem, Policy, target_name
 from .exprs import Context, ExprError
 from .forms import Chart, Coframe
 from .groups import ParamGroup, check_closure, slot_symbols
@@ -58,6 +58,17 @@ class ProblemFileError(ExprError):
 
 def _split_names(value: str) -> list[str]:
     return [t.strip() for t in value.split(",") if t.strip()]
+
+
+def _declared(names: list[str], twins: dict[str, str], lineno: int) -> list[str]:
+    """``names``, unless one is a name the run declares itself: a leading '_'
+    or the target twin of a coordinate (``twins``: twin -> coordinate)."""
+    for name in names:
+        if name.startswith("_"):
+            raise ProblemFileError(f"name {name!r} starts with '_', reserved for the program's symbols", lineno)
+        if name in twins:
+            raise ProblemFileError(f"name {name!r} is the target twin of coordinate {twins[name]!r}", lineno)
+    return names
 
 
 def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructureProblem, Policy]:
@@ -87,10 +98,12 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
             title = value.strip()
 
     coords = None
+    twins: dict[str, str] = {}
     for lineno, line in sections["coordinates"]:
         key, _, value = line.partition("=")
         if key.strip() == "names":
-            coords = ctx.declare_symbols(_split_names(value), "coordinate")
+            twins = {target_name(x): x for x in _split_names(value)}
+            coords = ctx.declare_symbols(_declared(_split_names(value), twins, lineno), "coordinate")
     if not coords:
         raise ProblemFileError("section [coordinates] must declare 'names = ...'")
     n = len(coords)
@@ -100,7 +113,7 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
         key, eq, value = line.partition("=")
         if not eq:
             raise ProblemFileError("opaque declaration needs 'name = slot, slot, ...'", lineno)
-        ctx.declare_opaque(key.strip(), _split_names(value))
+        ctx.declare_opaque(_declared([key.strip()], twins, lineno)[0], _split_names(value))
 
     def parse_entry(lineno: int, value: str):
         try:
@@ -134,7 +147,7 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
         key, eq, value = line.partition("=")
         key = key.strip()
         if key == "params":
-            params = ctx.declare_symbols(_split_names(value), "group-parameter")
+            params = ctx.declare_symbols(_declared(_split_names(value), twins, lineno), "group-parameter")
             continue
         parts = key.split()
         if parts and parts[0] == "M" and len(parts) == 3:

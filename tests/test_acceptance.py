@@ -225,21 +225,9 @@ def test_criterion_5d_r2_mode_equality():
 
 
 def _chars_from_F(ctx, n, r, F, r2, rng):
-    def build_rows(v):
-        rows = []
-        for i in range(n):
-            row = []
-            for kappa in range(r):
-                acc = ctx.zero
-                for l in range(n):
-                    fr = F[(i, l)][kappa]
-                    if fr:
-                        acc = acc + v[l] * ctx.expr(fr)
-                row.append(acc)
-            rows.append(row)
-        return rows
-
-    return reduced_characters(ctx, n, r, build_rows, r2, rng)
+    # contracted with e_l, row i of the system is F^{il}
+    tableau = [[[ctx.expr(f) for f in F[(i, l)]] for i in range(n)] for l in range(n)]
+    return reduced_characters(ctx, r, tableau, r2, rng)
 
 
 def _rand_invertible(rng, n):

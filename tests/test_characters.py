@@ -1,8 +1,9 @@
-"""The reduced characters: Cartan's test at one sampled point against the
-exact elimination over the direction symbols."""
+"""The reduced characters of a tableau: Cartan's test at one sampled point
+against the exact elimination over the direction symbols."""
 
 import contextlib
 import functools
+import hashlib
 import io
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from cartaneq import Context, characters, engine, jets
 from cartaneq.cli import main
 from cartaneq.jets import crosscheck_characters
 from cartaneq.linalg import generic_points
-from genutil import PROBLEMS, corpus_problem
+from genutil import PROBLEMS, corpus_problem, drawn_problem
 
 
 def _fields(report):
@@ -29,8 +30,8 @@ def _exact(*args):
 
 
 def _point_value(ctx, x):
-    """The value of ``x`` at the certification point of rows whose only atom
-    besides the directions is ``x``."""
+    """The value of ``x`` at the certification point of a tableau whose only
+    atom is ``x``."""
     return next(generic_points([[ctx.expr(x)]], random.Random(characters._POINT_SEED)))[0][x]
 
 
@@ -44,10 +45,11 @@ def _certifying(*args):
     return report, bool(held) and held[0] is not None
 
 
-def _falls_back(ctx, n, ncols, build_rows, r2):
-    report, certified = _certifying(ctx, n, ncols, build_rows, r2, random.Random(3))
+def _falls_back(ctx, ncols, tableau, r2):
+    tableau = [[[ctx.expr(e) for e in row] for row in T] for T in tableau]
+    report, certified = _certifying(ctx, ncols, tableau, r2, random.Random(3))
     assert not certified
-    assert _fields(report) == _fields(_exact(ctx, n, ncols, build_rows, r2, random.Random(3)))
+    assert _fields(report) == _fields(_exact(ctx, ncols, tableau, r2, random.Random(3)))
     return report
 
 
@@ -55,24 +57,28 @@ def test_a_point_short_of_a_rank_falls_back_to_the_exact_report():
     ctx = Context()
     x = ctx.declare_symbol("x", "coordinate")
     shift = ctx.expr(x) - ctx.expr(_point_value(ctx, x))
+    # T0 = [[1, 0], [0, 0]], T1 = [[0, 1], [x - c, 0]]: the contraction
     # [[v0, v1], [(x - c) v1, 0]] has rank 2 at every direction with v1 != 0,
     # but 1 at x = c, the certification point: the point ranks (1, 2) reach
     # every column, and Cartan's equality r2 = 2*2 - 1 fails
-    report = _falls_back(ctx, 2, 2, lambda v: [[v[0], v[1]], [shift * v[1], ctx.zero]], 2)
+    report = _falls_back(ctx, 2, [[[1, 0], [0, 0]], [[0, 1], [shift, 0]]], 2)
     assert (report.s, report.ranks, report.involutive) == ([2, 0], [2, 2], True)
     assert report.witnesses == [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    # [[v0, 0], [0, (x - c) v0]] has rank 2, but 1 at the point: r2 = 1 meets
+    # T0 = [[1, 0], [0, x - c]] has rank 2, but 1 at the point: r2 = 1 meets
     # the equality for the point ranks, which fall short of the columns
-    report = _falls_back(ctx, 1, 2, lambda v: [[v[0], ctx.zero], [ctx.zero, shift * v[0]]], 1)
+    report = _falls_back(ctx, 2, [[[1, 0], [0, shift]]], 1)
     assert (report.s, report.ranks, report.involutive) == ([2], [2], False)
 
 
 def test_a_grid_short_of_a_rank_falls_back_to_the_exact_report():
-    # [[v0 - 1]] vanishes at the one unit direction: the witness is a random one
+    # diag(v0, v1, v0 - v1) has rank 3 at a generic direction but 2 at every
+    # unit and unit-pair direction: the witness is a random one
     ctx = Context()
-    report = _falls_back(ctx, 1, 1, lambda v: [[v[0] - ctx.one]], 1)
-    assert (report.s, report.ranks, report.involutive) == ([1], [1], True)
-    assert report.witnesses[0] not in ([Fraction(1)], None)
+    tableau = [[[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[0, 0, 0], [0, 1, 0], [0, 0, -1]]]
+    report = _falls_back(ctx, 3, tableau, 3)
+    assert (report.s, report.ranks, report.involutive) == ([3, 0], [3, 3], True)
+    assert report.witnesses[0] not in ([Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)],
+                                       [Fraction(1), Fraction(1)], None)
 
 
 def test_the_lagrangian_crosscheck_eliminates_over_no_direction_symbol(monkeypatch):
@@ -90,14 +96,14 @@ def test_the_lagrangian_crosscheck_eliminates_over_no_direction_symbol(monkeypat
     assert steps and all(steps)
 
 
-def _paired(side, ctx, n, ncols, build_rows, r2, rng, *, into):
+def _paired(side, ctx, ncols, tableau, r2, rng, *, into):
     """Compute a report twice, by the exact path on a copy of ``rng`` and as
     the program does, and record both with whether the certificate held and
     whether both left the RNG in one state."""
     twin = random.Random()
     twin.setstate(rng.getstate())
-    exact = _exact(ctx, n, ncols, build_rows, r2, twin)
-    report, certified = _certifying(ctx, n, ncols, build_rows, r2, rng)
+    exact = _exact(ctx, ncols, tableau, r2, twin)
+    report, certified = _certifying(ctx, ncols, tableau, r2, rng)
     into.append((side, report, exact, certified, rng.getstate() == twin.getstate()))
     return report
 
@@ -140,3 +146,22 @@ def test_cartan_inequality_holds_on_every_report(paired_reports):
         assert exact.r2 <= bound, (side, exact.s, exact.r2)
         assert exact.involutive == (exact.r2 == bound)
     assert {side for side, *_ in paired_reports} == {"engine", "jets"}
+
+
+def test_the_crosscheck_leaves_the_rng_where_it_did():
+    # no output shows the 3 points of the jet side's regularity probe: one
+    # digest of the RNG state after each crosscheck pins what it drew
+    problems = [corpus_problem(path.stem) for path in sorted(PROBLEMS.glob("*.prob"))]
+    problems += [drawn_problem(draw) for draw in range(50)]
+    digest, raised = hashlib.sha256(), 0
+    for seed in range(3):
+        for problem in problems:
+            rng = random.Random(seed)
+            try:
+                crosscheck_characters(problem, rng)
+            except jets.JetError:
+                raised += 1
+            finally:
+                digest.update(repr(rng.getstate()).encode())
+    assert raised == 15
+    assert digest.hexdigest() == "510113515cbb30c39c8cbae5e4ddeef953d5de576ca32c5d67bdd5648d699f8c"

@@ -215,36 +215,32 @@ def _rank_calls(monkeypatch):
     return calls
 
 
-def _hand_report(ctx, rows, ranks, witnesses):
-    """A report over the directions _dir{k}_{t} of a two-variable space."""
-    ctx.declare_symbols([f"_dir{k}_{t}" for k in range(2) for t in range(2)], "auxiliary")
-    return CharacterReport([], ranks, witnesses, stacked_rows=[[ctx.parse(e) for e in row] for row in rows])
+def _hand_report(ctx, tableau, ranks, witnesses):
+    """A report on a tableau of a two-variable space."""
+    return CharacterReport([], ranks, witnesses, tableau=[[[ctx.parse(e) for e in row] for row in T] for T in tableau])
 
 
 def test_regularity_probe_falls_back_to_the_exact_rank(monkeypatch):
-    ctx, sp = one_dep_space()
-    R = JetSystem(sp, {}, 1)
+    ctx, _ = one_dep_space()
     calls = _rank_calls(monkeypatch)
-    # a claimed generic rank above the rank of the rows: the witness rank
+    # a claimed generic rank above the rank of the tableau: the witness rank
     # falls short, the exact rank too, and the probe aborts
-    short = _hand_report(ctx, [["x*_dir0_0", "x*_dir0_1"]], [1, 2], [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    short = _hand_report(ctx, [[["x", "0"]], [["0", "0"]]], [1, 2], [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
     with pytest.raises(JetError, match="not constant: rank 1"):
-        jets._monitor_regularity(R, short, random.Random(0))
+        jets._monitor_regularity(ctx, short, random.Random(0))
     assert calls == [True, False]
     # no witness: the exact rank alone
     calls.clear()
     short.witnesses = [[Fraction(1), Fraction(0)], None]
     with pytest.raises(JetError, match="not constant: rank 1"):
-        jets._monitor_regularity(R, short, random.Random(0))
+        jets._monitor_regularity(ctx, short, random.Random(0))
     assert calls == [False]
-    # witnesses that fall short of a rank the rows do have, and a witness at
-    # a pole: the exact rank decides, at each of the 3 points
-    rows = [["x/(_dir0_0 - 1)", "x*_dir0_1"], ["y*_dir1_0", "y*_dir1_1"]]
-    for witnesses in ([[Fraction(2), Fraction(0)], [Fraction(2), Fraction(0)]],
-                      [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]):
-        calls.clear()
-        jets._monitor_regularity(R, _hand_report(ctx, rows, [1, 2], witnesses), random.Random(0))
-        assert calls.count(False) == 3
+    # witnesses that fall short of a rank the tableau does have: the exact
+    # rank decides, at each of the 3 points
+    calls.clear()
+    witnesses = [[Fraction(2), Fraction(0)], [Fraction(2), Fraction(0)]]
+    jets._monitor_regularity(ctx, _hand_report(ctx, [[["x", "0"]], [["0", "y"]]], [1, 2], witnesses), random.Random(0))
+    assert calls == [True, False] * 3
 
 
 def test_regularity_probe_takes_the_witness_rank_on_lagrangian(monkeypatch):
@@ -494,7 +490,7 @@ def test_character_basis_independence():
     # recombining the contact rows and the direction space by invertible
     # rational matrices leaves the characters unchanged
     rng = random.Random(17)
-    from cartaneq.characters import reduced_characters
+    from cartaneq.characters import contract, reduced_characters
 
     ctx, sp = one_dep_space()
     R = JetSystem(sp, {(0, (1, 0)): sp.jet_expr(0, (0, 1)) * ctx.sym("x")}, 1)
@@ -525,19 +521,10 @@ def test_character_basis_independence():
             continue
         Rmix = ctx.expr(Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2])))
 
-        def build_rows(v):
-            w = [S[0][0] * v[0] + S[0][1] * v[1], S[1][0] * v[0] + S[1][1] * v[1]]
-            rows = []
-            row = [ctx.zero] * len(cols)
-            for i in range(2):
-                g = gamma_of(0, tuple(1 if t == i else 0 for t in range(2)))
-                for t in range(len(cols)):
-                    if not g[t].is_zero():
-                        row[t] = row[t] - w[i] * g[t]
-            rows.append([Rmix * e for e in row])
-            return rows
-
-        rep = reduced_characters(ctx, 2, len(cols), build_rows, base.r2, random.Random(0))
+        # T_i = -Rmix gamma(d u_{e_i}), rebased as T'_j = sum_i S_ij T_i
+        tableau = [[[-Rmix * g for g in gamma_of(0, tuple(1 if t == i else 0 for t in range(2)))]] for i in range(2)]
+        rebased = [contract(tableau, [S[0][j], S[1][j]]) for j in range(2)]
+        rep = reduced_characters(ctx, len(cols), rebased, base.r2, random.Random(0))
         assert rep.s == base.s
 
 

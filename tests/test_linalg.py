@@ -151,15 +151,15 @@ def test_generic_points_skip_poles(ctx):
     assert list(generic_points([[e]], ScriptedRng(1))) == []
 
 
-def test_generic_points_keep_and_center(ctx):
+def test_generic_points_center(ctx):
     z = ctx.declare_symbol("z", "coordinate")
     x, y = ctx.get_symbol("x"), ctx.get_symbol("y")
     rows = [[ctx.parse("x*y + z")]]
-    points = generic_points(rows, random.Random(0), center={x: Fraction(5)}, keep={y})
+    points = generic_points(rows, random.Random(0), center={x: Fraction(5)})
     for point, values in itertools.islice(points, 50):
-        assert list(point) == [x, z]
+        assert list(point) == [x, y, z]
         assert abs(point[x] - 5) <= 2
-        assert values == [[ctx.expr(point[x]) * ctx.sym("y") + ctx.expr(point[z])]]
+        assert values == [[point[x] * point[y] + point[z]]]
 
 
 def _reference_eliminate(rows, npivot_cols, *, sparsest=False):

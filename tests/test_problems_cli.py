@@ -105,6 +105,41 @@ def test_bad_policy_values_are_problem_file_errors(line, tmp_path):
     assert main(["check", str(bad)]) == 1
 
 
+def _scaling_problem(names="x, y", opaque="", param="a"):
+    """The coframe (dx, x dy) with a scaling parameter on the first leg, in
+    the given coordinate, opaque function and parameter names."""
+    x = names.split(",")[0]
+    return (
+        f"[coordinates]\nnames = {names}\n[opaque]\n{opaque}\n[coframe]\nA 1 1 = 1\nA 1 2 = 0\nA 2 1 = 0\n"
+        f"A 2 2 = {x}\n[group]\nparams = {param}\nM 1 1 = {param}\nM 1 2 = 0\nM 2 1 = 0\nM 2 2 = 1\n"
+        f"identity {param} = 1\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (dict(names="_dir0_0, y"), "name '_dir0_0' starts with '_'"),
+        (dict(names="x, X"), "name 'X' is the target twin of coordinate 'x'"),
+        (dict(opaque="Y = x"), "name 'Y' is the target twin of coordinate 'y'"),
+        (dict(param="X"), "name 'X' is the target twin of coordinate 'x'"),
+    ],
+    ids=["direction-symbol", "coordinate-twin", "opaque-twin", "parameter-twin"],
+)
+def test_names_the_run_declares_itself_are_refused(names, message, tmp_path):
+    # the run declares the direction symbols _dir{k}_{t} and a target twin
+    # X of each coordinate x: check refuses a file that declares them first
+    path = tmp_path / "clash.prob"
+    path.write_text(_scaling_problem(**names))
+    with pytest.raises(ProblemFileError, match=message):
+        parse_problem_text(path.read_text())
+    for command in ("check", "run", "crosscheck"):
+        assert main([command, str(path)]) == 1
+    path.write_text(_scaling_problem())
+    for command in ("check", "run", "crosscheck"):
+        assert main([command, str(path)]) == 0
+
+
 def test_cli_run_exit_codes(tmp_path):
     assert main(["run", str(PROBLEMS / "flat_gl2.prob")]) == 0
     assert main(["run", str(PROBLEMS / "toy_diag.prob")]) == 0
