@@ -165,12 +165,12 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
-        ka, kb = a[i][0].sort_key, b[j][0].sort_key
-        if ka == kb:
-            out.append((a[i][0], a[i][1] + b[j][1]))
+        u, v = a[i][0], b[j][0]
+        if u is v:  # atoms are interned: equal sort keys mean the same atom
+            out.append((u, a[i][1] + b[j][1]))
             i += 1
             j += 1
-        elif ka < kb:
+        elif u._key < v._key:
             out.append(a[i])
             i += 1
         else:
@@ -740,20 +740,35 @@ def _from_dense(exps: Iterable[bytes], coeffs: Iterable[Coeff], shift: bytes, at
     return {tuple((atoms[i], k) for i, k in enumerate(e) if k): c for e, c in terms}
 
 
+def _private_coefficient_is_a_term(p: Poly, private: set) -> bool:
+    """Whether p, written as sum_mu mu * c_mu over distinct monomials mu in
+    the atoms ``private`` with each c_mu free of them, has a c_mu of one
+    term."""
+    terms: dict = {}
+    for mono in p:
+        mu = tuple(f for f in mono if f[0] in private)
+        terms[mu] = terms.get(mu, 0) + 1
+    return 1 in terms.values()
+
+
 def _heu_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly] | None:
     """(g, p/g, q/g) with g a gcd of the nonzero polynomials p and q, or None
     when the heuristic gives up.
 
     Sides without a common atom, or with a monomial among them, have a
-    monomial gcd.  Otherwise it strips each side's rational and monomial
-    content and runs ``_zz_heu_gcd`` over the union of their atoms in
-    sort-key order.  When g is a constant the cofactors are p and q
-    themselves; otherwise they are new Polys in descending ``_mono_cmp``
-    order, the order ``_pdiv_exact`` gives."""
+    monomial gcd.  So do sides where one has a coefficient of one term in
+    the atoms the other lacks: g divides the other side, so it is free of
+    those atoms and divides each such coefficient, a monomial.  Otherwise it
+    strips each side's rational and monomial content and runs
+    ``_zz_heu_gcd`` over the union of their atoms in sort-key order.  When g
+    is a constant the cofactors are p and q themselves; otherwise they are
+    new Polys in descending ``_mono_cmp`` order, the order ``_pdiv_exact``
+    gives."""
     pa, qa = _patoms(p), _patoms(q)
     if pa.isdisjoint(qa):
         m = ()
-    elif min(len(p), len(q)) == 1:  # a monomial side: the gcd is a monomial
+    elif (min(len(p), len(q)) == 1  # a monomial side: the gcd is a monomial
+          or _private_coefficient_is_a_term(p, pa - qa) or _private_coefficient_is_a_term(q, qa - pa)):
         m = _pmono_content([*p, *q])
     else:
         atoms = sorted(pa | qa, key=lambda a: a.sort_key)

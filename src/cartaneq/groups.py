@@ -27,6 +27,7 @@ __all__ = [
     "check_closure",
     "recover_params",
     "derive_membership",
+    "slot_names",
     "slot_symbols",
     "solve_linear_in",
     "normalize_sign",
@@ -41,14 +42,16 @@ class GroupError(ExprError):
 _CLOSURE_SAMPLES = 4
 
 
+def slot_names(n: int) -> list[list[str]]:
+    """Names g11..gnn of the matrix-slot symbols."""
+    return [[f"g{i + 1}{j + 1}" for j in range(n)] for i in range(n)]
+
+
 def slot_symbols(ctx: Context, n: int) -> list[list[Symbol]]:
     """Matrix-slot symbols g11..gnn used by membership equations."""
     if n > 9:
         raise GroupError("slot symbol convention gij supports n <= 9")
-    return [
-        [ctx.declare_symbol(f"g{i + 1}{j + 1}", "auxiliary") for j in range(n)]
-        for i in range(n)
-    ]
+    return [ctx.declare_symbols(row, "auxiliary") for row in slot_names(n)]
 
 
 def normalize_sign(e: Expr) -> Expr:

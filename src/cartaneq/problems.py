@@ -38,13 +38,14 @@ invertibility and sampled group closure.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 from .engine import GStructureProblem, Policy, target_name
 from .exprs import Context, ExprError
 from .forms import Chart, Coframe
-from .groups import ParamGroup, check_closure, slot_symbols
+from .groups import ParamGroup, check_closure, slot_names, slot_symbols
 
 __all__ = ["ProblemFileError", "load_problem", "parse_problem_text"]
 
@@ -60,14 +61,23 @@ def _split_names(value: str) -> list[str]:
     return [t.strip() for t in value.split(",") if t.strip()]
 
 
-def _declared(names: list[str], twins: dict[str, str], lineno: int) -> list[str]:
-    """``names``, unless one is a name the run declares itself: a leading '_'
-    or the target twin of a coordinate (``twins``: twin -> coordinate)."""
+def _declared(names: list[str], coords: list[str], lineno: int) -> list[str]:
+    """``names``, unless one is a name the run declares itself for the
+    coordinates ``coords``: a leading '_', the target twin of a coordinate,
+    a jet of a twin (the twin, '_' and a nonempty run of coordinate names)
+    or a matrix slot g11..gnn."""
+    twins = {target_name(x): x for x in coords}
+    jet = re.compile(f"({'|'.join(map(re.escape, twins))})_(?:{'|'.join(map(re.escape, coords))})+")
+    slots = {name for row in slot_names(len(coords)) for name in row}
     for name in names:
         if name.startswith("_"):
             raise ProblemFileError(f"name {name!r} starts with '_', reserved for the program's symbols", lineno)
         if name in twins:
             raise ProblemFileError(f"name {name!r} is the target twin of coordinate {twins[name]!r}", lineno)
+        if found := jet.fullmatch(name):
+            raise ProblemFileError(f"name {name!r} is a jet variable of the target twin {found[1]!r}", lineno)
+        if name in slots:
+            raise ProblemFileError(f"name {name!r} is a matrix-slot symbol of the group", lineno)
     return names
 
 
@@ -98,12 +108,12 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
             title = value.strip()
 
     coords = None
-    twins: dict[str, str] = {}
+    coord_names: list[str] = []
     for lineno, line in sections["coordinates"]:
         key, _, value = line.partition("=")
         if key.strip() == "names":
-            twins = {target_name(x): x for x in _split_names(value)}
-            coords = ctx.declare_symbols(_declared(_split_names(value), twins, lineno), "coordinate")
+            coord_names = _split_names(value)
+            coords = ctx.declare_symbols(_declared(coord_names, coord_names, lineno), "coordinate")
     if not coords:
         raise ProblemFileError("section [coordinates] must declare 'names = ...'")
     n = len(coords)
@@ -113,7 +123,7 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
         key, eq, value = line.partition("=")
         if not eq:
             raise ProblemFileError("opaque declaration needs 'name = slot, slot, ...'", lineno)
-        ctx.declare_opaque(_declared([key.strip()], twins, lineno)[0], _split_names(value))
+        ctx.declare_opaque(_declared([key.strip()], coord_names, lineno)[0], _split_names(value))
 
     def parse_entry(lineno: int, value: str):
         try:
@@ -147,7 +157,7 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
         key, eq, value = line.partition("=")
         key = key.strip()
         if key == "params":
-            params = ctx.declare_symbols(_declared(_split_names(value), twins, lineno), "group-parameter")
+            params = ctx.declare_symbols(_declared(_split_names(value), coord_names, lineno), "group-parameter")
             continue
         parts = key.split()
         if parts and parts[0] == "M" and len(parts) == 3:

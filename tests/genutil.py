@@ -158,3 +158,17 @@ def entered_code(run) -> tuple[set, object]:
     finally:
         sys.settrace(previous)
     return entered, result
+
+
+def recorded_calls(monkeypatch, module, name: str, record=lambda *args: None) -> list:
+    """Patch ``module.<name>`` to append ``record(*args)`` to the returned list
+    on each call before it runs the original."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args):
+        calls.append(record(*args))
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls

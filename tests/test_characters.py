@@ -15,7 +15,7 @@ from cartaneq import Context, characters, engine, jets
 from cartaneq.cli import main
 from cartaneq.jets import crosscheck_characters
 from cartaneq.linalg import generic_points
-from genutil import PROBLEMS, corpus_problem, drawn_problem
+from genutil import PROBLEMS, corpus_problem, drawn_problem, recorded_calls
 
 
 def _fields(report):
@@ -82,15 +82,9 @@ def test_a_grid_short_of_a_rank_falls_back_to_the_exact_report():
 
 
 def test_the_lagrangian_crosscheck_eliminates_over_no_direction_symbol(monkeypatch):
-    steps = []
-    extend = characters.extend_echelon
-
-    def counting(basis, rows):
-        # True: the stack at a point, in numbers; False: over the symbols
-        steps.append(all(isinstance(e, Fraction) for row in rows for e in row))
-        return extend(basis, rows)
-
-    monkeypatch.setattr(characters, "extend_echelon", counting)
+    # True: the stack at a point, in numbers; False: over the symbols
+    steps = recorded_calls(monkeypatch, characters, "extend_echelon",
+                           lambda basis, rows: all(isinstance(e, Fraction) for row in rows for e in row))
     result = crosscheck_characters(corpus_problem("lagrangian"), random.Random(0))
     assert result.equal and result.jet_s == [3, 1, 1]
     assert steps and all(steps)

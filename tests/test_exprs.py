@@ -15,7 +15,8 @@ from cartaneq.exprs import (
     UnboundAtomError,
 )
 
-from genutil import random_expr, random_fraction
+from cartaneq.jets import crosscheck_characters
+from genutil import corpus_problem, random_expr, random_fraction, recorded_calls
 
 
 @pytest.fixture
@@ -296,9 +297,10 @@ _SMALL_POLY = st.dictionaries(_MONO, _COEFF, min_size=1, max_size=3)
 
 
 def _small_polys(*specs):
-    """The Polys in x, y, z of ``_SMALL_POLY`` specs, and their context."""
+    """The Polys in x, y, z, w of ``_SMALL_POLY``-like specs (an exponent
+    tuple may stop before w), and their context."""
     ctx = Context()
-    atoms = ctx.declare_symbols(["x", "y", "z"], "coordinate")
+    atoms = ctx.declare_symbols(["x", "y", "z", "w"], "coordinate")
 
     def poly(spec):
         total = ctx.zero
@@ -343,6 +345,77 @@ def test_heuristic_gcd_agrees_with_euclid(g, a, b):
         exact = Expr._make(ctx, ga, gb)
     assert list(made._num.items()) == list(exact._num.items())
     assert list(made._den.items()) == list(exact._den.items())
+
+
+def _items(polys):
+    return [list(p.items()) for p in polys]
+
+
+def _uncertified_gcd(p, q):
+    """``_heu_gcd`` without the private-atom certificate."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exprs, "_private_coefficient_is_a_term", lambda p, private: False)
+        return exprs._heu_gcd(p, q)
+
+
+# g in the shared atoms x, y, often a monomial; a adds the atom z that only
+# p = g*a has, b the atom w that only q = g*b has
+_SHARED_MONO = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_P_MONO = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+_Q_MONO = st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0), st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(_SHARED_MONO, _COEFF, min_size=1, max_size=2),
+       st.dictionaries(_P_MONO, _COEFF, min_size=2, max_size=3),
+       st.dictionaries(_Q_MONO, _COEFF, min_size=2, max_size=3))
+def test_private_atom_certificate_agrees_with_the_uncertified_gcd(g, a, b):
+    _, (g, a, b) = _small_polys(g, a, b)
+    p, q = exprs._pmul(g, a), exprs._pmul(g, b)
+    if not p or not q:
+        return
+    h, hp, hq = exprs._heu_gcd(p, q)
+    assert exprs._pmul(h, hp) == p and exprs._pmul(h, hq) == q
+    full = _uncertified_gcd(p, q)
+    if full is None:
+        assert exprs._pmonic(h) == exprs._pgcd(p, q)
+    else:
+        # the same gcd and cofactors, term for term and in the same order
+        assert _items((h, hp, hq)) == _items(full)
+
+
+def test_private_atom_certificate_keeps_the_monomial_content(ctx):
+    x, z = ctx.get_symbol("x"), ctx.get_symbol("z")
+    # p = x*y*(x*z + y + 1): its coefficient of z, x^2*y, is one term, so the
+    # gcd with q = x^2*(x + y) is the gcd x of the monomial contents x*y, x^2
+    p, q = ctx.parse("x*y*(x*z + y + 1)")._num, ctx.parse("x^2*(x + y)")._num
+    assert exprs._private_coefficient_is_a_term(p, {z})
+    got = exprs._heu_gcd(p, q)
+    assert got[0] == {((x, 1),): 1}
+    assert got[1] == ctx.parse("y*(x*z + y + 1)")._num and got[2] == ctx.parse("x*(x + y)")._num
+    assert _items(got) == _items(_uncertified_gcd(p, q))
+
+
+def test_private_atom_certificate_leaves_two_term_coefficients_to_gcdheu(ctx):
+    z = ctx.get_symbol("z")
+    # p = (x + y)*(z + 1): both coefficients in z are x + y, and q has no
+    # atom that p lacks, so only the dense gcd finds x + y
+    p, q = ctx.parse("(x + y)*(z + 1)")._num, ctx.parse("(x + y)*(x - y)")._num
+    assert not exprs._private_coefficient_is_a_term(p, {z})
+    assert not exprs._private_coefficient_is_a_term(q, set())
+    h, hp, hq = exprs._heu_gcd(p, q)
+    assert exprs._pmonic(h) == ctx.parse("x + y")._num
+    assert hp == ctx.parse("z + 1")._num and hq == ctx.parse("x - y")._num
+
+
+def test_the_lagrangian_crosscheck_runs_few_dense_gcds(monkeypatch):
+    # each dense GCDHEU run puts both sides in dense form; without the
+    # private-atom certificate the crosscheck makes 63 runs, with it 30
+    problem = corpus_problem("lagrangian")
+    forms = recorded_calls(monkeypatch, exprs, "_zz_form")
+    result = crosscheck_characters(problem, random.Random(0))
+    assert result.equal and result.jet_s == [3, 1, 1]
+    assert len(forms) <= 64
 
 
 def test_exponents_above_255_take_the_exact_gcd(ctx):

@@ -123,12 +123,18 @@ def _scaling_problem(names="x, y", opaque="", param="a"):
         (dict(names="x, X"), "name 'X' is the target twin of coordinate 'x'"),
         (dict(opaque="Y = x"), "name 'Y' is the target twin of coordinate 'y'"),
         (dict(param="X"), "name 'X' is the target twin of coordinate 'x'"),
+        (dict(param="X_x"), "name 'X_x' is a jet variable of the target twin 'X'"),
+        (dict(opaque="Y_yx = x"), "name 'Y_yx' is a jet variable of the target twin 'Y'"),
+        (dict(names="x, g12"), "name 'g12' is a matrix-slot symbol of the group"),
+        (dict(param="g21"), "name 'g21' is a matrix-slot symbol of the group"),
     ],
-    ids=["direction-symbol", "coordinate-twin", "opaque-twin", "parameter-twin"],
+    ids=["direction-symbol", "coordinate-twin", "opaque-twin", "parameter-twin",
+         "parameter-jet", "opaque-jet", "coordinate-slot", "parameter-slot"],
 )
 def test_names_the_run_declares_itself_are_refused(names, message, tmp_path):
-    # the run declares the direction symbols _dir{k}_{t} and a target twin
-    # X of each coordinate x: check refuses a file that declares them first
+    # the run declares the direction symbols _dir{k}_{t}, a target twin X of
+    # each coordinate x, the twins' jets X_x, X_xy, ... and the matrix slots
+    # g11..gnn: check refuses a file that declares them first
     path = tmp_path / "clash.prob"
     path.write_text(_scaling_problem(**names))
     with pytest.raises(ProblemFileError, match=message):
