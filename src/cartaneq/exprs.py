@@ -10,19 +10,26 @@ objects or :class:`OpaqueAtom` applications of undetermined functions which
 carry an accumulated multi-index of partial derivatives (so mixed partials
 commute by construction).
 
+Each atom owns a 16-bit exponent field of its Context, handed out in creation
+order, and a monomial is one ``int`` over those fields, so the product of two
+monomials is one integer addition.  An exponent is below 2**15.
+
 Canonical form: gcd(numerator, denominator) = 1 and the denominator is monic
-with respect to a fixed graded-lexicographic monomial order.  Two Expr values
-are structurally equal iff they are equal as rational expressions, which makes
-``is_zero`` (and hence all rank computations downstream) decidable.
+with respect to a fixed graded-lexicographic monomial order by atom
+``sort_key``.  Two Expr values are structurally equal iff they are equal as
+rational expressions, which makes ``is_zero`` (and hence all rank
+computations downstream) decidable.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from bisect import insort
 from fractions import Fraction
-from operator import add, gt, sub
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from functools import reduce
+from itertools import chain
+from operator import or_
+from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "ExprError",
@@ -30,6 +37,7 @@ __all__ = [
     "PoleError",
     "SingularSubstitutionError",
     "UnboundAtomError",
+    "ExponentLimitError",
     "Symbol",
     "OpaqueFunc",
     "OpaqueAtom",
@@ -61,10 +69,14 @@ class UnboundAtomError(ExprError):
     """Numeric evaluation found an atom without a binding."""
 
 
+class ExponentLimitError(ExprError):
+    """An exponent reached 2**15, the guard bit of its atom's field."""
+
+
 class Symbol:
     """A declared indeterminate with a fixed kind and creation order."""
 
-    __slots__ = ("name", "kind", "order", "_key")
+    __slots__ = ("name", "kind", "order", "_key", "_shift")
 
     def __init__(self, name: str, kind: str, order: int):
         if kind not in KINDS:
@@ -115,7 +127,7 @@ class OpaqueAtom:
     owning Context, so identity comparison is safe inside polynomial dicts.
     """
 
-    __slots__ = ("func", "deriv", "args", "_key", "_free", "_hash")
+    __slots__ = ("func", "deriv", "args", "_key", "_free", "_hash", "_shift")
 
     def __init__(self, func: OpaqueFunc, deriv: tuple[int, ...], args: tuple["Expr", ...]):
         self.func = func
@@ -147,95 +159,72 @@ class OpaqueAtom:
 Atom = Union[Symbol, OpaqueAtom]
 Scalar = Union[int, Fraction, "Expr"]
 
-# A monomial is a tuple of (atom, positive exponent) pairs sorted by atom
-# sort_key; () is the monomial 1.  A polynomial is a dict monomial -> nonzero
+# A monomial is one int.  Each atom owns a 16-bit field of its Context, at
+# the shift ``atom._shift``: its exponent sits in the field's low 15 bits,
+# and the top bit is the field's guard bit, clear in every stored monomial.
+# 0 is the monomial 1, and m1 + m2 is the product of two monomials: no field
+# can carry, and an exponent that reaches the guard bit raises
+# ExponentLimitError.  Integer order on monomials is a lex order, with the
+# atom made last the most significant; the kernel divides and stores terms
+# in it.  The canonical graded-lex order by atom sort_key, which str,
+# _struct_key and the monic denominator follow, is read through the
+# Context's rank table.  A polynomial is a dict monomial -> nonzero
 # coefficient: an int, or a Fraction with a denominator above 1.  Arithmetic
-# may leave an integral Fraction in a scratch Poly; Expr._make stores it as its
-# int.
-Mono = tuple
+# may leave an integral Fraction in a scratch Poly; Expr._make stores it as
+# its int.
+Mono = int
 Poly = dict
 Coeff = Union[int, Fraction]
 
-
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        u, v = a[i][0], b[j][0]
-        if u is v:  # atoms are interned: equal sort keys mean the same atom
-            out.append((u, a[i][1] + b[j][1]))
-            i += 1
-            j += 1
-        elif u._key < v._key:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+_FIELDS = 1 << 12  # exponent fields, and so atoms, of one Context
+_LIMIT = 1 << 15  # the least exponent that reaches a guard bit
+_GUARD = int.from_bytes(b"\x80\x00" * _FIELDS, "big")  # every field's guard bit
 
 
-def _mono_cmp(a: Mono, b: Mono) -> int:
-    """Graded lex; atoms with smaller sort_key are the more significant."""
-    da = sum(e for _, e in a)
-    db = sum(e for _, e in b)
-    if da != db:
-        return -1 if da < db else 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ka, kb = a[i][0].sort_key, b[j][0].sort_key
-        if ka < kb:
-            return 1
-        if kb < ka:
-            return -1
-        if a[i][1] != b[j][1]:
-            return 1 if a[i][1] > b[j][1] else -1
-        i += 1
-        j += 1
-    if i < len(a):
-        return 1
-    if j < len(b):
-        return -1
-    return 0
+def _guards(m: Mono) -> int:
+    """The guard bits of the fields up to m's highest."""
+    return _GUARD & ~(-1 << (m.bit_length() + 15))
+
+
+def _at_least(a: Mono, b: Mono) -> int:
+    """The exponent bits of each field where a's exponent is at least b's."""
+    g = _guards(a | b)
+    t = ((a | g) - b) & g  # a set guard bit outweighs any exponent, so no field borrows
+    return t - (t >> 15)
 
 
 def _mono_divides(d: Mono, m: Mono) -> bool:
-    j = 0
-    for atom, e in d:
-        while j < len(m) and m[j][0].sort_key < atom.sort_key:
-            j += 1
-        if j >= len(m) or m[j][0] is not atom or m[j][1] < e:
-            return False
-    return True
-
-
-def _mono_div(m: Mono, d: Mono) -> Mono:
-    out = []
-    for atom, e in m:
-        ed = 0
-        for a2, e2 in d:
-            if a2 is atom:
-                ed = e2
-                break
-        if e - ed > 0:
-            out.append((atom, e - ed))
-    return tuple(out)
+    # a field where d's exponent exceeds m's borrows its guard bit
+    return m >= d and not (m - d) & _GUARD
 
 
 def _mono_gcd(a: Mono, b: Mono) -> Mono:
+    """The field-wise min of a and b."""
+    return a ^ ((a ^ b) & _at_least(a, b))
+
+
+def _mono_lcm(a: Mono, b: Mono) -> Mono:
+    """The field-wise max of a and b."""
+    return b ^ ((a ^ b) & _at_least(a, b))
+
+
+def _psupport(p: Poly) -> int:
+    """The guard bits of the fields of p's atoms: adding 2**15 - 1 to a
+    field sets its guard bit exactly when it is nonzero."""
+    m = reduce(or_, p, 0)
+    g = _guards(m)
+    return (m + g - (g >> 15)) & g
+
+
+def _exponents(m: Mono) -> list[tuple[int, int]]:
+    """(shift, exponent) of each nonzero field of m, highest first."""
     out = []
-    for atom, e in a:
-        for a2, e2 in b:
-            if a2 is atom:
-                out.append((atom, min(e, e2)))
-                break
-    return tuple(out)
+    while m:
+        s = m.bit_length() - 1 & -16
+        e = m >> s
+        out.append((s, e))
+        m ^= e << s
+    return out
 
 
 _ZERO = 0
@@ -275,12 +264,14 @@ def _padd(p: Poly, q: Poly) -> Poly:
 def _paddmul(acc: Poly, p: Poly, m: Mono, c: Coeff) -> None:
     """acc += c * m * p, in place."""
     for pm, pc in p.items():
-        mm = _mono_mul(m, pm)
+        mm = m + pm
         s = acc.get(mm, _ZERO) + c * pc
         if s:
             acc[mm] = s
         else:
             acc.pop(mm, None)
+    if m and reduce(or_, acc, 0) & _GUARD:
+        raise ExponentLimitError(f"an exponent reached {_LIMIT}")
 
 
 def _pneg(p: Poly) -> Poly:
@@ -301,17 +292,19 @@ def _pmul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = _mono_mul(m1, m2)
+            m = m1 + m2
             s = out.get(m, _ZERO) + c1 * c2
             if s:
                 out[m] = s
             else:
                 out.pop(m, None)
+    if reduce(or_, out, 0) & _GUARD:
+        raise ExponentLimitError(f"an exponent reached {_LIMIT}")
     return out
 
 
 def _ppow(p: Poly, n: int) -> Poly:
-    result = {(): _ONE}
+    result = {0: _ONE}
     base = p
     while n:
         if n & 1:
@@ -322,19 +315,11 @@ def _ppow(p: Poly, n: int) -> Poly:
     return result
 
 
-def _plead(p: Poly) -> tuple[Mono, Coeff]:
-    it = iter(p.items())
-    best = next(it)
-    for item in it:
-        if _mono_cmp(item[0], best[0]) > 0:
-            best = item
-    return best
-
-
 def _pmonic(p: Poly) -> Poly:
+    """p scaled to the coefficient 1 at its largest monomial."""
     if not p:
         return p
-    _, c = _plead(p)
+    c = p[max(p)]
     if c == 1:
         return p
     return _pscale(p, _qdiv(1, c))
@@ -343,12 +328,12 @@ def _pmonic(p: Poly) -> Poly:
 def _pconst(p: Poly) -> Coeff | None:
     if not p:
         return _ZERO
-    if len(p) == 1 and () in p:
-        return p[()]
+    if len(p) == 1 and 0 in p:
+        return p[0]
     return None
 
 
-def _pmono_content(p: Poly) -> Mono:
+def _pmono_content(p: Iterable[Mono]) -> Mono:
     it = iter(p)
     g = next(it)
     for m in it:
@@ -358,26 +343,15 @@ def _pmono_content(p: Poly) -> Mono:
     return g
 
 
-def _patoms(p: Poly) -> set:
-    out = set()
-    for m in p:
-        for atom, _ in m:
-            out.add(atom)
-    return out
-
-
-# sorts (monomial, coefficient) pairs into descending _mono_cmp order
-_DESCENDING = functools.cmp_to_key(lambda a, b: _mono_cmp(b[0], a[0]))
-
-
 def _pdiv_mono(p: Poly, m: Mono) -> Poly:
     """p / m for a monomial m that divides every term of p, its terms in
-    descending _mono_cmp order."""
-    return dict(sorted(((_mono_div(k, m), c) for k, c in p.items()), key=_DESCENDING))
+    descending order."""
+    return dict(sorted(((k - m, c) for k, c in p.items()), reverse=True))
 
 
 def _pdiv_exact(p: Poly, d: Poly) -> Poly:
-    """Divide p by d, asserting the division is exact."""
+    """Divide p by d, asserting the division is exact.  Unless d is a
+    constant, the quotient's terms come in descending order."""
     if not d:
         raise DivisionByZeroError("polynomial division by zero")
     dc = _pconst(d)
@@ -385,58 +359,37 @@ def _pdiv_exact(p: Poly, d: Poly) -> Poly:
         return _pscale(p, _qdiv(1, dc))
     out: Poly = {}
     rem = dict(p)
-    dl_m, dl_c = _plead(d)
+    dl_m = max(d)
+    dl_c = d[dl_m]
     while rem:
-        rl_m, rl_c = _plead(rem)
+        rl_m = max(rem)
         if not _mono_divides(dl_m, rl_m):
             raise ExprError("inexact polynomial division")
-        qm = _mono_div(rl_m, dl_m)
-        qc = _qdiv(rl_c, dl_c)
-        out[qm] = out.get(qm, _ZERO) + qc
+        qm = rl_m - dl_m  # below the last step's: the leading term cancels
+        qc = out[qm] = _qdiv(rem[rl_m], dl_c)
         _paddmul(rem, d, qm, -qc)
-    return {m: c for m, c in out.items() if c}
+    return out
 
 
-def _as_univar(p: Poly, v: Atom) -> dict[int, Poly]:
+def _as_univar(p: Poly, s: int) -> dict[int, Poly]:
+    """p as a polynomial in the atom of shift s: degree -> coefficient."""
     out: dict[int, Poly] = {}
     for m, c in p.items():
-        deg = 0
-        rest = []
-        for atom, e in m:
-            if atom is v:
-                deg = e
-            else:
-                rest.append((atom, e))
-        coeff = out.setdefault(deg, {})
-        rm = tuple(rest)
-        s = coeff.get(rm, _ZERO) + c
-        if s:
-            coeff[rm] = s
-        else:
-            coeff.pop(rm, None)
-    return {d: c for d, c in out.items() if c}
-
-
-def _from_univar(u: dict[int, Poly], v: Atom) -> Poly:
-    out: Poly = {}
-    for deg, coeff in u.items():
-        vm = ((v, deg),) if deg else ()
-        for m, c in coeff.items():
-            mm = _mono_mul(m, vm)
-            s = out.get(mm, _ZERO) + c
-            if s:
-                out[mm] = s
-            else:
-                out.pop(mm, None)
+        deg = m >> s & 0xFFFF
+        out.setdefault(deg, {})[m ^ deg << s] = c
     return out
+
+
+def _from_univar(u: dict[int, Poly], s: int) -> Poly:
+    return {m + (deg << s): c for deg, coeff in u.items() for m, c in coeff.items()}
 
 
 def _u_content(u: dict[int, Poly]) -> Poly:
     g: Poly = {}
-    for coeff in u.values():
+    for coeff in sorted(u.values(), key=len):  # the gcd of the shortest is the likeliest to reach 1
         g = _pgcd(g, coeff)
         if _pconst(g) is not None and g:
-            return {(): _ONE}
+            return {0: _ONE}
     return g
 
 
@@ -480,8 +433,9 @@ _P = (1 << 61) - 1
 
 
 def _dense_mod(u: dict[int, Poly], point: dict) -> list[int] | None:
-    """u with its coefficient atoms bound to ``point``, as a dense list mod _P
-    (constant term first); None when _P divides a coefficient denominator."""
+    """u with its coefficient atoms bound to ``point`` (by field shift), as a
+    dense list mod _P (constant term first); None when _P divides a
+    coefficient denominator."""
     out = [0] * (max(u) + 1)
     for d, coeff in u.items():
         total = 0
@@ -490,8 +444,8 @@ def _dense_mod(u: dict[int, Poly], point: dict) -> list[int] | None:
             if den % _P == 0:
                 return None
             val = c.numerator if den == 1 else c.numerator * pow(den, -1, _P)
-            for atom, e in m:
-                val = val * pow(point[atom], e, _P) % _P
+            for s, e in _exponents(m):
+                val = val * pow(point[s], e, _P) % _P
             total += val
         out[d] = total % _P
     return out
@@ -518,16 +472,15 @@ def _gcd_probe_trivial(a: dict[int, Poly], b: dict[int, Poly]) -> bool:
     """Sound probe: True when the gcd of the univariate forms ``a`` and ``b``
     (both of positive degree in their variable) certainly has degree 0.
 
-    Binds the coefficient atoms, in sort-key order, to integers mod _P and
+    Binds the coefficient atoms, in field order, to integers mod _P and
     decides at the first point where both leading coefficients survive.
     There a nontrivial gcd maps to a common divisor of the same degree, so a
     degree-0 gcd mod _P proves the rational gcd trivial.  An unlucky prime
     or point only answers False, which sends the caller down the exact
     Euclid path."""
-    others = sorted(set().union(*map(_patoms, a.values()), *map(_patoms, b.values())),
-                    key=lambda atom: atom.sort_key)
+    others = sorted(s for s, _ in _exponents(reduce(or_, chain(*a.values(), *b.values()), 0)))
     for shiftbase in (2, 17, 53):
-        point = {atom: shiftbase + 3 * i for i, atom in enumerate(others)}
+        point = {s: shiftbase + 3 * i for i, s in enumerate(others)}
         ae = _dense_mod(a, point)
         be = _dense_mod(b, point)
         if ae is None or be is None:
@@ -538,24 +491,25 @@ def _gcd_probe_trivial(a: dict[int, Poly], b: dict[int, Poly]) -> bool:
 
 
 def _pgcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd of multivariate polynomials over the rationals."""
+    """Gcd of multivariate polynomials over the rationals, made monic by
+    ``_pmonic``."""
     if not p:
         return _pmonic(q)
     if not q:
         return _pmonic(p)
     if _pconst(p) is not None or _pconst(q) is not None:
-        return {(): _ONE}
+        return {0: _ONE}
     mp = _pmono_content(p)
     mq = _pmono_content(q)
     mg = _mono_gcd(mp, mq)
-    p1 = {_mono_div(m, mp): c for m, c in p.items()} if mp else p
-    q1 = {_mono_div(m, mq): c for m, c in q.items()} if mq else q
+    p1 = {m - mp: c for m, c in p.items()} if mp else p
+    q1 = {m - mq: c for m, c in q.items()} if mq else q
     if _pconst(p1) is not None or _pconst(q1) is not None:
-        return _pmonic({mg: _ONE})
-    shared = _patoms(p1) & _patoms(q1)
+        return {mg: _ONE}
+    shared = _psupport(p1) & _psupport(q1)
     if not shared:
-        return _pmonic({mg: _ONE})
-    v = min(shared, key=lambda a: a.sort_key)
+        return {mg: _ONE}
+    v = (shared & -shared).bit_length() - 16  # the lowest shared field
     a = _as_univar(p1, v)
     b = _as_univar(q1, v)
     ca = _u_content(a)
@@ -573,42 +527,44 @@ def _pgcd(p: Poly, q: Poly) -> Poly:
             g = b
             break
         if max(r) == 0:
-            g = {0: {(): _ONE}}
+            g = {0: {0: _ONE}}
             break
         a, b = b, _u_primitive(r)
     core = _from_univar(g, v)
     return _pmonic(_pmul(_pmul({mg: _ONE}, d), core))
 
 
-# The heuristic gcd works on integer polynomials over dense exponent vectors:
-# a dict from bytes, one exponent per variable in sort-key order, to a nonzero
-# int.  bytes compare in lex order, with the first variable the most
-# significant, and raise ValueError for an exponent outside range(256).
+# The heuristic gcd works on integer polynomials: a dict from a monomial to a
+# nonzero int.  Integer order on monomials is lex with the highest field the
+# most significant, so max() finds a leading term.
 
 
-def _zz_eval_first(f: dict, xi: int) -> dict:
-    """f with its first variable bound to xi."""
+def _zz_eval(f: dict, s: int, xi: int) -> dict:
+    """f with the atom of shift s, f's highest field or above it, bound to
+    xi."""
     powers = [1]
-    for _ in range(max(e[0] for e in f)):
+    for _ in range(max(f) >> s):
         powers.append(powers[-1] * xi)
+    low = (1 << s) - 1
     out: dict = {}
     for e, c in f.items():
-        r = e[1:]
-        out[r] = out.get(r, 0) + c * powers[e[0]]
+        r = e & low
+        out[r] = out.get(r, 0) + c * powers[e >> s]
     return {r: c for r, c in out.items() if c}
 
 
-def _zz_interpolate(h: dict, xi: int, cap: int) -> dict | None:
-    """The polynomial whose coefficients in a new first variable are the
-    xi-adic digits of h's coefficients, in the symmetric range of xi, so that
-    its value at xi is h; None when it has a degree above cap."""
+def _zz_interpolate(h: dict, s: int, xi: int, cap: int) -> dict | None:
+    """The polynomial whose coefficients in the atom of shift s, above h's
+    fields, are the xi-adic digits of h's coefficients, in the symmetric
+    range of xi, so that its value at xi is h; None when it has a degree
+    above cap."""
     half = xi // 2
     out: dict = {}
     k = 0
     while h:
         if k > cap:
             return None
-        lead = bytes((k,))
+        lead = k << s
         rest = {}
         for e, c in h.items():
             d = c % xi
@@ -631,36 +587,35 @@ def _zz_div(f: dict, h: dict) -> dict | None:
     """f / h when h divides f over the integers, else None.
 
     Divides in lex order; a quotient term with a negative exponent, with an
-    exponent above the quotient's degree in its variable, or with a
-    coefficient that is no integer proves the division inexact."""
+    exponent above the quotient's degree in its atom, or with a coefficient
+    that is no integer proves the division inexact."""
     hl = max(h)
     hc = h[hl]
-    if len(h) == 1 and not any(hl):
+    if not hl:
         if hc == 1:
             return f
         if any(c % hc for c in f.values()):
             return None
         return {e: c // hc for e, c in f.items()}
-    try:
-        room = bytes(map(sub, map(max, zip(*f)), map(max, zip(*h))))
-    except ValueError:  # h has the higher degree in some variable
+    fmax, hmax = reduce(_mono_lcm, f), reduce(_mono_lcm, h)
+    if not _mono_divides(hmax, fmax):  # h has the higher degree in some atom
         return None
+    room = fmax - hmax
     out: dict = {}
     rem = dict(f)
     while rem:
         rl = max(rem)
-        try:
-            qe = bytes(map(sub, rl, hl))
-        except ValueError:  # a negative exponent
+        if not _mono_divides(hl, rl):
             return None
-        if any(map(gt, qe, room)):
+        qe = rl - hl
+        if not _mono_divides(qe, room):
             return None
         qc, r = divmod(rem[rl], hc)
         if r:
             return None
         out[qe] = qc
         for e, c in h.items():
-            m = bytes(map(add, qe, e))
+            m = qe + e
             s = rem.get(m, 0) - qc * c
             if s:
                 rem[m] = s
@@ -673,17 +628,19 @@ def _zz_heu_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
     """(h, f/h, g/h) with h the gcd over the integers of the nonzero integer
     polynomials f and g, or None when GCDHEU gives up.
 
-    Binds the first variable to xi = 2 min(|f|, |g|) + 29, with |.| the max
-    norm of a primitive part (the theorem below needs xi >= 2 min + 2), takes
-    the gcd of the images recursively, and lifts it back by xi-adic
-    interpolation.  By the theorem of Char, Geddes and
+    Binds the atom of the highest field of either to xi = 2 min(|f|, |g|) +
+    29, with |.| the max norm of a primitive part (the theorem below needs
+    xi >= 2 min + 2), takes the gcd of the images recursively, and lifts it
+    back by xi-adic interpolation.  By the theorem of Char, Geddes and
     Gonnet (J. Symbolic Comput. 7, 1989) the primitive part of the lift is
     the gcd when it divides both primitive parts, which trial division
     checks.  Tries at most six points, growing xi as they do."""
-    if not next(iter(f)):
-        a, b = f[b""], g[b""]
+    top = max(max(f), max(g))
+    if not top:
+        a, b = f[0], g[0]
         h = math.gcd(a, b)
-        return {b"": h}, {b"": a // h}, {b"": b // h}
+        return {0: h}, {0: a // h}, {0: b // h}
+    s = top.bit_length() - 1 & -16
     cf = math.gcd(*f.values())
     cg = math.gcd(*g.values())
     c = math.gcd(cf, cg)
@@ -691,16 +648,16 @@ def _zz_heu_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
         f = {e: v // cf for e, v in f.items()}
     if cg != 1:
         g = {e: v // cg for e, v in g.items()}
-    cap = min(max(e[0] for e in f), max(e[0] for e in g))
+    cap = min(max(f) >> s, max(g) >> s)
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(6):
-        ff = _zz_eval_first(f, xi)
-        gg = _zz_eval_first(g, xi)
+        ff = _zz_eval(f, s, xi)
+        gg = _zz_eval(g, s, xi)
         if ff and gg:
             got = _zz_heu_gcd(ff, gg)
             if got is None:
                 return None
-            h = _zz_interpolate(got[0], xi, cap)
+            h = _zz_interpolate(got[0], s, xi, cap)
             if h is not None:
                 ch = math.gcd(*h.values())
                 if ch != 1:
@@ -713,40 +670,29 @@ def _zz_heu_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
     return None
 
 
-def _zz_form(p: Poly, col: dict) -> tuple[dict, bytes, Coeff]:
-    """(P, m, r) with p = r * x^m * P: P an integer polynomial over the
-    exponents of ``col``'s atoms, primitive and free of monomial content.
-    Raises ValueError for an exponent above 255."""
+def _zz_form(p: Poly) -> tuple[dict, Mono, Coeff]:
+    """(P, m, r) with p = r * m * P: P an integer polynomial, primitive and
+    free of monomial content."""
     den = math.lcm(*(c.denominator for c in p.values()))
-    exps = []
-    ints = []
-    for mono, c in p.items():
-        v = bytearray(len(col))
-        for atom, e in mono:
-            v[col[atom]] = e
-        exps.append(v)
-        ints.append(c.numerator * (den // c.denominator))
+    ints = [c.numerator * (den // c.denominator) for c in p.values()]
     cont = math.gcd(*ints)
-    low = bytes(map(min, zip(*exps)))
-    return {bytes(map(sub, v, low)): c // cont for v, c in zip(exps, ints)}, low, _qdiv(cont, den)
+    low = _pmono_content(p)
+    return {m - low: c // cont for m, c in zip(p, ints)}, low, _qdiv(cont, den)
 
 
-def _from_dense(exps: Iterable[bytes], coeffs: Iterable[Coeff], shift: bytes, atoms: list) -> Poly:
-    """The Poly with the terms c * x^(e + shift), in descending _mono_cmp
-    order."""
-    # with atoms in sort-key order, graded lex is (degree, exponent vector)
-    terms = sorted(zip((bytes(map(add, e, shift)) for e in exps), coeffs),
-                   key=lambda t: (sum(t[0]), t[0]), reverse=True)
-    return {tuple((atoms[i], k) for i, k in enumerate(e) if k): c for e, c in terms}
+def _from_dense(exps: Iterable[Mono], coeffs: Iterable[Coeff], shift: Mono) -> Poly:
+    """The Poly with the terms c * shift * e, in descending order."""
+    return dict(sorted(zip((e + shift for e in exps), coeffs), reverse=True))
 
 
-def _private_coefficient_is_a_term(p: Poly, private: set) -> bool:
+def _private_coefficient_is_a_term(p: Poly, private: int) -> bool:
     """Whether p, written as sum_mu mu * c_mu over distinct monomials mu in
-    the atoms ``private`` with each c_mu free of them, has a c_mu of one
-    term."""
+    the atoms whose guard bits ``private`` holds, with each c_mu free of
+    them, has a c_mu of one term."""
+    fields = private - (private >> 15)
     terms: dict = {}
     for mono in p:
-        mu = tuple(f for f in mono if f[0] in private)
+        mu = mono & fields
         terms[mu] = terms.get(mu, 0) + 1
     return 1 in terms.values()
 
@@ -760,37 +706,31 @@ def _heu_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly] | None:
     the atoms the other lacks: g divides the other side, so it is free of
     those atoms and divides each such coefficient, a monomial.  Otherwise it
     strips each side's rational and monomial content and runs
-    ``_zz_heu_gcd`` over the union of their atoms in sort-key order.  When g
-    is a constant the cofactors are p and q themselves; otherwise they are
-    new Polys in descending ``_mono_cmp`` order, the order ``_pdiv_exact``
-    gives."""
-    pa, qa = _patoms(p), _patoms(q)
-    if pa.isdisjoint(qa):
-        m = ()
+    ``_zz_heu_gcd`` on what is left.  When g is a constant the cofactors
+    are p and q themselves; otherwise they are new Polys in descending
+    order, the order ``_pdiv_exact`` gives."""
+    pa, qa = _psupport(p), _psupport(q)
+    if not pa & qa:
+        m = 0
     elif (min(len(p), len(q)) == 1  # a monomial side: the gcd is a monomial
-          or _private_coefficient_is_a_term(p, pa - qa) or _private_coefficient_is_a_term(q, qa - pa)):
+          or _private_coefficient_is_a_term(p, pa & ~qa) or _private_coefficient_is_a_term(q, qa & ~pa)):
         m = _pmono_content([*p, *q])
     else:
-        atoms = sorted(pa | qa, key=lambda a: a.sort_key)
-        col = {a: i for i, a in enumerate(atoms)}
-        try:
-            P, mp, rp = _zz_form(p, col)
-            Q, mq, rq = _zz_form(q, col)
-        except ValueError:
-            return None
-        mg = bytes(map(min, mp, mq))
-        if any(a and b for a, b in zip(map(max, zip(*P)), map(max, zip(*Q)))):
+        P, mp, rp = _zz_form(p)
+        Q, mq, rq = _zz_form(q)
+        mg = _mono_gcd(mp, mq)
+        if _psupport(P) & _psupport(Q):
             got = _zz_heu_gcd(P, Q)
             if got is None:
                 return None
             G, P, Q = got
-            if len(G) > 1 or any(next(iter(G))):
-                return (_from_dense(G, G.values(), mg, atoms),
-                        _from_dense(P, (rp * c for c in P.values()), bytes(map(sub, mp, mg)), atoms),
-                        _from_dense(Q, (rq * c for c in Q.values()), bytes(map(sub, mq, mg)), atoms))
-        m = tuple((atoms[i], k) for i, k in enumerate(mg) if k)
+            if len(G) > 1 or next(iter(G)):
+                return (_from_dense(G, G.values(), mg),
+                        _from_dense(P, (rp * c for c in P.values()), mp - mg),
+                        _from_dense(Q, (rq * c for c in Q.values()), mq - mg))
+        m = mg
     if not m:
-        return {(): _ONE}, p, q
+        return {0: _ONE}, p, q
     return {m: _ONE}, _pdiv_mono(p, m), _pdiv_mono(q, m)
 
 
@@ -801,7 +741,7 @@ def _gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     if got is not None:
         return got
     g = _pgcd(p, q)
-    if _pconst(g) is None or g[()] != 1:
+    if _pconst(g) is None or g[0] != 1:
         return g, _pdiv_exact(p, g), _pdiv_exact(q, g)
     return g, p, q
 
@@ -857,8 +797,8 @@ def _fraction_sum(terms: Sequence[tuple[Poly, Sequence[tuple[Fractional, int]]]]
         for key, k in need.items():
             if mine.get(key, 0) < k:
                 p = _pmul(p, power(dens[key], k - mine.get(key, 0)))
-        _paddmul(num, p, (), _ONE)
-    den: Poly = {(): _ONE}
+        _paddmul(num, p, 0, _ONE)
+    den: Poly = {0: _ONE}
     for key, k in need.items():
         den = _pmul(den, power(dens[key], k))
     return num, den
@@ -868,12 +808,10 @@ def _partials(p: Poly, atoms) -> dict:
     """The formal partial derivatives of ``p`` by each of ``atoms``."""
     out: dict = {a: {} for a in atoms}
     for m, c in p.items():
-        for idx, (atom, e) in enumerate(m):
-            acc = out.get(atom)
-            if acc is None:
-                continue
-            rest = m[:idx] + ((atom, e - 1),) + m[idx + 1:] if e > 1 else m[:idx] + m[idx + 1:]
-            acc[rest] = c * e  # distinct monomials have distinct quotients
+        for a, acc in out.items():
+            e = m >> a._shift & 0xFFFF
+            if e:
+                acc[m - (1 << a._shift)] = c * e  # distinct monomials have distinct quotients
     return out
 
 
@@ -881,6 +819,7 @@ class Context:
     """Session-level registry of symbols, opaque functions and interned atoms.
 
     Append-only; Expr values from the same context can be combined freely.
+    Each atom it makes owns the next exponent field of its monomials.
     """
 
     def __init__(self):
@@ -888,12 +827,71 @@ class Context:
         self._funcs: dict[str, OpaqueFunc] = {}
         self._atoms: dict[tuple, OpaqueAtom] = {}
         self._counter = 0
-        self.zero = Expr(self, {}, {(): _ONE})
-        self.one = Expr(self, {(): _ONE}, {(): _ONE})
+        self._fields: list[Atom] = []  # the atom of each field, in creation order
+        self._by_key: list[Atom] = []  # the atoms in sort-key order
+        self._order = None  # the canonical order's sort key; None once an atom is added
+        self._factored: dict[Mono, tuple] = {}
+        self._printed: dict[Mono, str] = {}
+        self.zero = Expr(self, {}, {0: _ONE})
+        self.one = Expr(self, {0: _ONE}, {0: _ONE})
 
     def _next_order(self) -> int:
         self._counter += 1
         return self._counter
+
+    def _add_field(self, atom: Atom) -> None:
+        if len(self._fields) == _FIELDS:
+            raise ExprError(f"a context holds at most {_FIELDS} atoms")
+        atom._shift = 16 * len(self._fields)
+        self._fields.append(atom)
+        insort(self._by_key, atom, key=lambda a: a._key)
+        self._order = None
+
+    def _factors(self, m: Mono) -> tuple:
+        """m's (atom, exponent) pairs in sort-key order."""
+        got = self._factored.get(m)
+        if got is None:
+            fields = self._fields
+            got = self._factored[m] = tuple(
+                sorted(((fields[s >> 4], e) for s, e in _exponents(m)), key=lambda f: f[0]._key))
+        return got
+
+    def _order_key(self):
+        """The sort key of the canonical graded-lex order on monomials, in
+        which atoms with a smaller sort_key are the more significant.  It
+        reads the atoms' ranks in sort-key order, so a new atom voids it."""
+        if self._order is None:
+            rank = [0] * len(self._fields)
+            for i, atom in enumerate(self._by_key):
+                rank[atom._shift >> 4] = i
+            factors, keys = self._factors, {}
+
+            def key(m: Mono):
+                got = keys.get(m)
+                if got is None:
+                    f = factors(m)
+                    got = keys[m] = sum(e for _, e in f), tuple((-rank[a._shift >> 4], e) for a, e in f)
+                return got
+
+            self._order = key
+        return self._order
+
+    def _lead(self, p: Poly) -> tuple[Mono, Coeff]:
+        """p's leading term in the canonical order."""
+        m = next(iter(p)) if len(p) == 1 else max(p, key=self._order_key())
+        return m, p[m]
+
+    def _sorted_terms(self, p: Poly) -> list[tuple[Mono, Coeff]]:
+        """p's terms in descending canonical order."""
+        if len(p) == 1:
+            return list(p.items())
+        return [(m, p[m]) for m in sorted(p, key=self._order_key(), reverse=True)]
+
+    def _mono_str(self, m: Mono) -> str:
+        got = self._printed.get(m)
+        if got is None:
+            got = self._printed[m] = "*".join(str(a) if e == 1 else f"{a}^{e}" for a, e in self._factors(m))
+        return got
 
     def declare_symbol(self, name: str, kind: str = "auxiliary") -> Symbol:
         if name in self._symbols:
@@ -904,6 +902,7 @@ class Context:
         if name in self._funcs:
             raise ExprError(f"name {name!r} already used by an opaque function")
         sym = Symbol(name, kind, self._next_order())
+        self._add_field(sym)
         self._symbols[name] = sym
         return sym
 
@@ -945,6 +944,7 @@ class Context:
         atom = self._atoms.get(key)
         if atom is None:
             atom = OpaqueAtom(func, dv, args)
+            self._add_field(atom)
             self._atoms[key] = atom
         return atom
 
@@ -961,7 +961,7 @@ class Context:
             return value
         if isinstance(value, (int, Fraction)):
             f = _coeff(value)
-            return Expr(self, {(): f} if f else {}, {(): _ONE})
+            return Expr(self, {0: f} if f else {}, {0: _ONE})
         if isinstance(value, Symbol):
             return Expr.from_atom(self, value)
         if isinstance(value, OpaqueAtom):
@@ -977,7 +977,7 @@ class Context:
 class Expr:
     """Canonical rational expression; immutable and hashable."""
 
-    __slots__ = ("ctx", "_num", "_den", "_hash", "_skey", "_free")
+    __slots__ = ("ctx", "_num", "_den", "_hash", "_skey", "_free", "_atoms")
 
     def __init__(self, ctx: Context, num: Poly, den: Poly):
         self.ctx = ctx
@@ -986,6 +986,7 @@ class Expr:
         self._hash = None
         self._skey = None
         self._free = None
+        self._atoms = None
 
     @staticmethod
     def _make(ctx: Context, num: Poly, den: Poly) -> "Expr":
@@ -1003,7 +1004,7 @@ class Expr:
         monic, no gcd taken."""
         if not num:
             return ctx.zero
-        _, lc = _plead(den)
+        lc = next(iter(den.values())) if len(den) == 1 else ctx._lead(den)[1]
         if lc != 1:
             inv = _qdiv(1, lc)
             num = _pscale(num, inv)
@@ -1012,19 +1013,18 @@ class Expr:
 
     @staticmethod
     def from_atom(ctx: Context, atom: Atom) -> "Expr":
-        return Expr(ctx, {((atom, 1),): _ONE}, {(): _ONE})
+        return Expr(ctx, {1 << atom._shift: _ONE}, {0: _ONE})
 
     # -- structure ---------------------------------------------------------
 
-    def _sorted_terms(self, poly: Poly) -> list[tuple[Mono, Coeff]]:
-        return sorted(poly.items(), key=_DESCENDING)
-
     def _struct_key(self):
         if self._skey is None:
+            ctx = self.ctx
+
             def pk(p):
                 return tuple(
-                    (tuple((a.sort_key, e) for a, e in m), (c.numerator, c.denominator))
-                    for m, c in self._sorted_terms(p)
+                    (tuple((a._key, e) for a, e in ctx._factors(m)), (c.numerator, c.denominator))
+                    for m, c in ctx._sorted_terms(p)
                 )
 
             self._skey = (pk(self._num), pk(self._den))
@@ -1042,16 +1042,14 @@ class Expr:
             self._free = frozenset(out)
         return self._free
 
-    def atoms(self) -> Iterator[Atom]:
-        """All atoms appearing in numerator or denominator (not recursing
-        into opaque arguments)."""
-        seen = set()
-        for poly in (self._num, self._den):
-            for m in poly:
-                for atom, _ in m:
-                    if id(atom) not in seen:
-                        seen.add(id(atom))
-                        yield atom
+    def atoms(self) -> tuple[Atom, ...]:
+        """All atoms appearing in numerator or denominator, the last made
+        first (not recursing into opaque arguments)."""
+        if self._atoms is None:
+            fields = self.ctx._fields
+            support = reduce(or_, self._num, 0) | reduce(or_, self._den, 0)
+            self._atoms = tuple(fields[s >> 4] for s, _ in _exponents(support))
+        return self._atoms
 
     def is_zero(self) -> bool:
         return not self._num
@@ -1072,7 +1070,7 @@ class Expr:
     # -- polynomial views ---------------------------------------------------
 
     def _poly(self, poly: Poly) -> "Expr":
-        return Expr(self.ctx, poly, {(): _ONE})
+        return Expr(self.ctx, poly, {0: _ONE})
 
     def numerator(self) -> "Expr":
         return self._poly(self._num)
@@ -1088,31 +1086,29 @@ class Expr:
         """Sign of the leading numerator coefficient in graded-lex order."""
         if not self._num:
             return 0
-        return 1 if _plead(self._num)[1] > 0 else -1
+        return 1 if self.ctx._lead(self._num)[1] > 0 else -1
 
     def coefficients(self, atom: Atom) -> dict[int, "Expr"]:
         """The numerator as a polynomial in ``atom``: degree -> coefficient."""
-        return {d: self._poly(c) for d, c in _as_univar(self._num, atom).items()}
+        return {d: self._poly(c) for d, c in _as_univar(self._num, atom._shift).items()}
 
     def linear_in(self, atoms: Sequence[Atom]) -> tuple[list["Expr"], "Expr"] | None:
         """Split the numerator as sum(coeffs[i] * atoms[i]) + rest in one pass.
 
         Returns (coeffs, rest) with polynomial entries, or None when the
         numerator is not affine in ``atoms``."""
-        col = {id(a): i for i, a in enumerate(atoms)}
+        col = {1 << a._shift: i for i, a in enumerate(atoms)}
+        fields = reduce(or_, (0xFFFF << a._shift for a in atoms), 0)
         coeffs: list[Poly] = [{} for _ in atoms]
         rest: Poly = {}
         for m, c in self._num.items():
-            hit = None
-            for idx, (atom, e) in enumerate(m):
-                if id(atom) in col:
-                    if hit is not None or e != 1:
-                        return None
-                    hit = idx
-            if hit is None:
+            hit = m & fields
+            if not hit:
                 rest[m] = c
+            elif hit in col:  # one of the atoms, to the first power
+                coeffs[col[hit]][m - hit] = c
             else:
-                coeffs[col[id(m[hit][0])]][m[:hit] + m[hit + 1:]] = c
+                return None
         return [self._poly(p) for p in coeffs], self._poly(rest)
 
     # -- arithmetic --------------------------------------------------------
@@ -1247,7 +1243,7 @@ class Expr:
                 if darg[0]:
                     dv = list(atom.deriv)
                     dv[k] += 1
-                    terms.append(({((ctx.atom(atom.func, atom.args, dv), 1),): _ONE}, [(darg, 1)]))
+                    terms.append(({1 << ctx.atom(atom.func, atom.args, dv)._shift: _ONE}, [(darg, 1)]))
             img = Expr._make(ctx, *_fraction_sum(terms))
             out = images[atom] = (img._num, img._den) if img else None
             return out
@@ -1256,14 +1252,14 @@ class Expr:
             num, den = e._num, e._den
             moved = {a: img for a in e.atoms() if (img := image(a)) is not None}
             if not moved:
-                return {}, {(): _ONE}
+                return {}, {0: _ONE}
             dnum = _partials(num, moved)
             dden = _partials(den, moved)
             # d(N/D) = sum over atoms a of d(a) * (N_a D - N D_a) / D^2
             terms = []
             for a, img in moved.items():
                 t = _pmul(dnum[a], den)
-                _paddmul(t, _pmul(num, dden[a]), (), -_ONE)
+                _paddmul(t, _pmul(num, dden[a]), 0, -_ONE)
                 if t:
                     terms.append((t, [(img, 1)]))
             n, d = _fraction_sum(terms)
@@ -1297,25 +1293,28 @@ class Expr:
             out = cache[atom] = None if v is None else (v._num, v._den)
             return out
 
-        def sub_poly(poly: Poly) -> Fractional:
+        def sub_poly(poly: Poly, moved: list, fields: int) -> Fractional:
+            """poly with the atoms of ``moved``, (shift, image) pairs whose
+            exponent bits are ``fields``, replaced by their images."""
+            if not reduce(or_, poly, 0) & fields:
+                return poly, {0: _ONE}
             terms = []
             for m, c in poly.items():
-                kept = []
-                moved = []
-                for atom, e in m:
-                    img = image(atom)
-                    if img is None:
-                        kept.append((atom, e))
-                    else:
-                        moved.append((img, e))
-                terms.append(({tuple(kept): c}, moved))
+                factors = []
+                for s, img in moved:
+                    e = m >> s & 0xFFFF
+                    if e:
+                        factors.append((img, e))
+                terms.append(({m & ~fields: c}, factors))
             return _fraction_sum(terms)
 
         def sub_expr(e: Expr) -> Expr:
             if not any(s in e.free_symbols for s in bound):
                 return e
-            nn, nd = sub_poly(e._num)
-            dn, dd = sub_poly(e._den)
+            moved = [(a._shift, img) for a in e.atoms() if (img := image(a)) is not None]
+            fields = reduce(or_, (0xFFFF << s for s, _ in moved), 0)
+            nn, nd = sub_poly(e._num, moved, fields)
+            dn, dd = sub_poly(e._den, moved, fields)
             if not dn:
                 raise SingularSubstitutionError("substitution makes a denominator vanish identically")
             return Expr._make(ctx, _pmul(nn, dd), _pmul(nd, dn))
@@ -1324,21 +1323,22 @@ class Expr:
 
     def eval_at(self, point: Mapping[Atom, Fraction | int]) -> Fraction:
         """Exact numeric value with every atom bound to a rational."""
-        values: dict[Atom, Fraction] = {}  # each bound value as a Fraction, once
+        values = {}  # shift -> the atom's value as a Fraction
+        for atom in self.atoms():
+            try:
+                values[atom._shift] = Fraction(point[atom])
+            except KeyError:
+                raise UnboundAtomError(f"no binding for {atom}") from None
 
         def eval_poly(poly: Poly) -> Coeff:
             total = _ZERO
             for m, c in poly.items():
-                val = c
-                for atom, e in m:
-                    v = values.get(atom)
-                    if v is None:
-                        try:
-                            v = values[atom] = Fraction(point[atom])
-                        except KeyError:
-                            raise UnboundAtomError(f"no binding for {atom}") from None
-                    val *= v if e == 1 else v ** e
-                total += val
+                while m:  # the highest field first
+                    s = m.bit_length() - 1 & -16
+                    e = m >> s
+                    c *= values[s] if e == 1 else values[s] ** e
+                    m ^= e << s
+                total += c
             return total
 
         den = eval_poly(self._den)
@@ -1352,18 +1352,15 @@ class Expr:
         if not poly:
             return "0"
         parts = []
-        for m, c in self._sorted_terms(poly):
-            factors = []
-            for atom, e in m:
-                s = str(atom)
-                factors.append(s if e == 1 else f"{s}^{e}")
+        ctx = self.ctx
+        for m, c in ctx._sorted_terms(poly):
             mag = abs(c)
-            if not factors:
+            if not m:
                 body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = ctx._mono_str(m)
             else:
-                body = "*".join([str(mag)] + factors)
+                body = f"{mag}*{ctx._mono_str(m)}"
             parts.append(("-" if c < 0 else "+", body))
         sign, body = parts[0]
         out = ("-" if sign == "-" else "") + body

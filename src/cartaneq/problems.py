@@ -81,6 +81,17 @@ def _declared(names: list[str], coords: list[str], lineno: int) -> list[str]:
     return names
 
 
+def _stage_names_free(declared: list[tuple[str, int]], params: list[str]):
+    """Refuse a declared (name, line) that a run declares at a later stage:
+    a parameter name or v1, v2, ... (the parameters of a prolonged group)
+    followed by one or more '_k' stage suffixes."""
+    roots = "|".join([*map(re.escape, params), r"v[1-9]\d*"])
+    stage = re.compile(rf"(?:{roots})(?:_[1-9]\d*)+")
+    for name, lineno in declared:
+        if stage.fullmatch(name):
+            raise ProblemFileError(f"name {name!r} is a stage parameter of the group", lineno)
+
+
 def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructureProblem, Policy]:
     sections: dict[str, list[tuple[int, str]]] = {}
     current = None
@@ -109,11 +120,13 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
 
     coords = None
     coord_names: list[str] = []
+    declared: list[tuple[str, int]] = []  # every name the file declares, with its line
     for lineno, line in sections["coordinates"]:
         key, _, value = line.partition("=")
         if key.strip() == "names":
             coord_names = _split_names(value)
             coords = ctx.declare_symbols(_declared(coord_names, coord_names, lineno), "coordinate")
+            declared += [(name, lineno) for name in coord_names]
     if not coords:
         raise ProblemFileError("section [coordinates] must declare 'names = ...'")
     n = len(coords)
@@ -124,6 +137,7 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
         if not eq:
             raise ProblemFileError("opaque declaration needs 'name = slot, slot, ...'", lineno)
         ctx.declare_opaque(_declared([key.strip()], coord_names, lineno)[0], _split_names(value))
+        declared.append((key.strip(), lineno))
 
     def parse_entry(lineno: int, value: str):
         try:
@@ -158,6 +172,7 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
         key = key.strip()
         if key == "params":
             params = ctx.declare_symbols(_declared(_split_names(value), coord_names, lineno), "group-parameter")
+            declared += [(p.name, lineno) for p in params]
             continue
         parts = key.split()
         if parts and parts[0] == "M" and len(parts) == 3:
@@ -178,6 +193,7 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
         raise ProblemFileError(f"unrecognized group line {line!r}", lineno)
     if params is None:
         raise ProblemFileError("section [group] must declare 'params = ...' (possibly empty)")
+    _stage_names_free(declared, [p.name for p in params])
     for i in range(n):
         for j in range(n):
             if entries[i][j] is None:

@@ -264,8 +264,8 @@ def test_division_by_zero_is_structured(ctx):
     for divide in (
         lambda: ctx.one / ctx.zero,
         lambda: ctx.zero ** -1,
-        lambda: Expr._make(ctx, {(): Fraction(1)}, {}),
-        lambda: exprs._pdiv_exact({(): Fraction(1)}, {}),
+        lambda: Expr._make(ctx, {0: Fraction(1)}, {}),
+        lambda: exprs._pdiv_exact({0: Fraction(1)}, {}),
     ):
         with pytest.raises(DivisionByZeroError) as err:
             divide()
@@ -276,7 +276,7 @@ def test_gcd_probe_declines_and_skips(ctx):
     x = ctx.get_symbol("x")
 
     def univar(text):
-        return exprs._as_univar(ctx.parse(text)._num, x)
+        return exprs._as_univar(ctx.parse(text)._num, x._shift)
 
     probe = exprs._gcd_probe_trivial
     assert probe(univar("x + y"), univar("x - y")) is True
@@ -384,14 +384,18 @@ def test_private_atom_certificate_agrees_with_the_uncertified_gcd(g, a, b):
         assert _items((h, hp, hq)) == _items(full)
 
 
+def _guard_bit(atom):
+    return 1 << (atom._shift + 15)
+
+
 def test_private_atom_certificate_keeps_the_monomial_content(ctx):
     x, z = ctx.get_symbol("x"), ctx.get_symbol("z")
     # p = x*y*(x*z + y + 1): its coefficient of z, x^2*y, is one term, so the
     # gcd with q = x^2*(x + y) is the gcd x of the monomial contents x*y, x^2
     p, q = ctx.parse("x*y*(x*z + y + 1)")._num, ctx.parse("x^2*(x + y)")._num
-    assert exprs._private_coefficient_is_a_term(p, {z})
+    assert exprs._private_coefficient_is_a_term(p, _guard_bit(z))
     got = exprs._heu_gcd(p, q)
-    assert got[0] == {((x, 1),): 1}
+    assert got[0] == {1 << x._shift: 1}
     assert got[1] == ctx.parse("y*(x*z + y + 1)")._num and got[2] == ctx.parse("x*(x + y)")._num
     assert _items(got) == _items(_uncertified_gcd(p, q))
 
@@ -401,8 +405,8 @@ def test_private_atom_certificate_leaves_two_term_coefficients_to_gcdheu(ctx):
     # p = (x + y)*(z + 1): both coefficients in z are x + y, and q has no
     # atom that p lacks, so only the dense gcd finds x + y
     p, q = ctx.parse("(x + y)*(z + 1)")._num, ctx.parse("(x + y)*(x - y)")._num
-    assert not exprs._private_coefficient_is_a_term(p, {z})
-    assert not exprs._private_coefficient_is_a_term(q, set())
+    assert not exprs._private_coefficient_is_a_term(p, _guard_bit(z))
+    assert not exprs._private_coefficient_is_a_term(q, 0)
     h, hp, hq = exprs._heu_gcd(p, q)
     assert exprs._pmonic(h) == ctx.parse("x + y")._num
     assert hp == ctx.parse("z + 1")._num and hq == ctx.parse("x - y")._num
@@ -418,36 +422,138 @@ def test_the_lagrangian_crosscheck_runs_few_dense_gcds(monkeypatch):
     assert len(forms) <= 64
 
 
-def test_exponents_above_255_take_the_exact_gcd(ctx):
-    # the heuristic stores exponents in bytes; past 255 it gives up
-    assert exprs._heu_gcd(ctx.parse("x^256 + y")._num, ctx.parse("x + y")._num) is None
+def test_exponents_above_255_stay_on_the_heuristic_gcd(ctx):
+    # the heuristic works on the packed monomials, whose fields hold
+    # exponents up to 2**15 - 1, not on bytes
+    p, q = ctx.parse("x^256 + y")._num, ctx.parse("x + y")._num
+    assert exprs._heu_gcd(p, q) == ({0: 1}, p, q)
     assert ctx.parse("(x^256*y - x*y)/(x^2*y + x*y)") == ctx.parse("(x^255 - 1)/(x + 1)")
+
+
+def test_an_exponent_stops_below_the_guard_bit(ctx):
+    # a field holds exponents up to 2**15 - 1; one more raises instead of
+    # carrying into the field of the next atom
+    x, y = ctx.sym("x"), ctx.sym("y")
+    top = x ** 32767
+    assert str(top * y) == "x^32767*y"
+    with pytest.raises(exprs.ExponentLimitError):
+        top * x
+    with pytest.raises(exprs.ExponentLimitError):
+        (x ** 20000 * y) ** 2
+    with pytest.raises(exprs.ExponentLimitError):
+        ctx.parse("x^40000")
+    assert issubclass(exprs.ExponentLimitError, ExprError)
+
+
+def test_a_context_has_an_exponent_field_for_each_of_4096_atoms():
+    ctx = Context()
+    names = [f"s{i}" for i in range(exprs._FIELDS)]
+    ctx.declare_symbols(names)
+    assert str(ctx.sym(names[0]) * ctx.sym(names[-1]) ** 2) == "s0*s4095^2"
+    with pytest.raises(ExprError, match="at most 4096 atoms"):
+        ctx.declare_symbol("one_more")
+    assert not ctx.has_symbol("one_more")
+
+
+def _pack(fields, exponents):
+    return sum(e << 16 * f for f, e in zip(fields, exponents))
+
+
+# exponents near 0, near the field limit 2**15 - 1 and between
+_EXPONENT = st.one_of(st.integers(0, 3), st.integers(exprs._LIMIT - 3, exprs._LIMIT - 1),
+                      st.integers(0, exprs._LIMIT - 1))
+# one to four distinct fields anywhere in a context, often far apart, and
+# the exponent vectors of two monomials over them
+_VECTORS = st.lists(st.integers(0, exprs._FIELDS - 1), min_size=1, max_size=4, unique=True).flatmap(
+    lambda fields: st.tuples(st.just(fields), *[st.lists(_EXPONENT, min_size=len(fields), max_size=len(fields))] * 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VECTORS)
+def test_packed_monomials_agree_with_exponent_vectors(vectors):
+    fields, u, v = vectors
+    a, b = _pack(fields, u), _pack(fields, v)
+    if all(i + j < exprs._LIMIT for i, j in zip(u, v)):
+        assert exprs._pmul({a: 1}, {b: 1}) == {_pack(fields, map(sum, zip(u, v))): 1}
+    else:
+        with pytest.raises(exprs.ExponentLimitError):
+            exprs._pmul({a: 1}, {b: 1})
+    divides = all(j <= i for i, j in zip(u, v))
+    assert exprs._mono_divides(b, a) == divides
+    if divides:
+        assert a - b == _pack(fields, [i - j for i, j in zip(u, v)])
+    assert exprs._mono_gcd(a, b) == _pack(fields, map(min, u, v))
+    assert exprs._mono_lcm(a, b) == _pack(fields, map(max, u, v))
+    assert exprs._psupport({a: 1, b: 2}) == sum(1 << 16 * f + 15 for f, i, j in zip(fields, u, v) if i or j)
+    decoded = exprs._exponents(a)
+    assert decoded == sorted(((16 * f, i) for f, i in zip(fields, u) if i), reverse=True)
+    assert sum(e for _, e in decoded) == sum(u)  # the degree
+    # one atom's field split off and put back
+    s = 16 * fields[0]
+    poly = {a: 1} if a == b else {a: 1, b: 2}
+    univar = exprs._as_univar(poly, s)
+    want: dict = {}
+    for m, c, e in ((a, 1, u[0]), (b, 2, v[0]))[:len(poly)]:
+        want.setdefault(e, {})[m - (e << s)] = c
+    assert univar == want
+    assert exprs._from_univar(univar, s) == poly
+
+
+def test_canonical_form_does_not_depend_on_atom_creation_order():
+    # the fields follow creation order, the printed and structural forms the
+    # sort keys: L_p < L_pp < L_x < L_up, whichever was made first
+    derivs = [(0, 0, 2), (0, 0, 1), (1, 0, 0), (0, 1, 1), (0, 0, 0)]
+
+    def context(order):
+        ctx = Context()
+        x, u, p = ctx.declare_symbols(["x", "u", "p"], "coordinate")
+        L = ctx.declare_opaque("L", ["x", "u", "p"])
+        for d in order:
+            ctx.atom(L, [x, u, p], d)
+        return ctx
+
+    texts = [
+        "L_pp(x,u,p)*L_p(x,u,p) + L_x(x,u,p)^2 - 3*p*L_up(x,u,p) + L(x,u,p)",
+        "(L_p(x,u,p) - L_pp(x,u,p))/(L_x(x,u,p) + 2*L_pp(x,u,p))",
+        "(x*L_up(x,u,p) + u^2)/(3*L_x(x,u,p)*L_p(x,u,p) - L_pp(x,u,p)^2 + p)",
+        "L_pp(x,u,p)/(2*L_up(x,u,p) - 4*L_p(x,u,p))",
+    ]
+    one, other = context(derivs), context(reversed(derivs))
+    assert [a.sort_key for a in one._fields] != [a.sort_key for a in other._fields]
+    for text in texts:
+        e, f = one.parse(text), other.parse(text)
+        assert str(e) == str(f)
+        assert one.parse(str(e)) == e and other.parse(str(f)) == f and other.parse(str(e)) == f
+        assert e._struct_key() == f._struct_key()
+        assert e.leading_sign() == f.leading_sign()
 
 
 def test_make_orders_terms_as_exact_division_does(ctx):
     # _make emits the terms of a cancelled quotient in the order _pdiv_exact
-    # gives them.  No output depends on it: sampled points bind atoms in
+    # gives them: descending in the integer order of monomials, where the
+    # field of the atom made last (here z, then y, then x) is the most
+    # significant.  No output depends on it: sampled points bind atoms in
     # sort-key order, and tests/test_problems_cli.py permutes term order.
     def poly(*terms):
         return {ctx.parse(t)._num.popitem()[0]: Fraction(c) for t, c in terms}
 
     def descending(p):
         keys = list(p)
-        return all(exprs._mono_cmp(a, b) > 0 for a, b in zip(keys, keys[1:]))
+        return keys == sorted(keys, reverse=True)
 
     # a polynomial gcd, x - z: the cofactors x + y^2 + 1 and y + 2 come out
-    # in descending graded-lex order, y^2 before x, as _pdiv_exact gives them
+    # in descending order, y^2 before x, as _pdiv_exact gives them
     x_z = poly(("z", -1), ("x", 1))
     num = exprs._pmul(poly(("1", 1), ("x", 1), ("y^2", 1)), x_z)
     den = exprs._pmul(poly(("1", 2), ("y", 1)), x_z)
     e = Expr._make(ctx, num, den)
     assert e == ctx.parse("(x + y^2 + 1)/(y + 2)")
-    assert list(e._num) == list(poly(("y^2", 1), ("x", 1), ("1", 1)))
+    assert list(e._num) == list(poly(("y^2", 1), ("x", 1), ("1", 1))) == list(exprs._pdiv_exact(num, x_z))
     assert descending(e._num) and descending(e._den)
     # a monomial gcd, x: x*z + x^2*y over x*y or over x*y + x
     for den in (poly(("x*y", 1)), poly(("x", 1), ("x*y", 1))):
         e = Expr._make(ctx, poly(("x*z", 1), ("x^2*y", 1)), den)
-        assert list(e._num) == list(poly(("x*y", 1), ("z", 1)))
+        assert list(e._num) == list(poly(("z", 1), ("x*y", 1)))
         assert descending(e._den)
     # a trivial gcd leaves the terms in the order they came in
     num = poly(("1", 1), ("x", 1), ("y^2", 1))
@@ -594,7 +700,7 @@ def test_operators_take_only_the_cross_gcds(ctx, monkeypatch):
     pairs.clear()
     assert u + w == total
     assert len(pairs) == 2 and pairs[0] == (b, w._den)
-    assert exprs._pmonic(pairs[1][1]) == other._num
+    assert exprs._pmonic(pairs[1][1]) == exprs._pmonic(other._num)
 
 
 # exponents of x, y and f(x, y)
@@ -662,8 +768,8 @@ def test_operators_agree_with_the_full_product_route(gcd, op, shared, left, righ
     want = _full_route(op, u, v, k)
     assert got == want
     assert (str(got), hash(got)) == (str(want), hash(want))
-    assert exprs._pgcd(got._num, got._den) == {(): 1}
-    assert exprs._plead(got._den)[1] == 1
+    assert exprs._pgcd(got._num, got._den) == {0: 1}
+    assert ctx._lead(got._den)[1] == 1
 
 
 # A step of a random computation in x, y and f(x, y): an operation, two

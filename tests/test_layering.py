@@ -3,11 +3,11 @@ definition in the package has a user, and every function in the package
 serves a command or is listed with the reason it stays.
 
 Other modules use the public ``Expr`` views (``numerator``, ``coefficients``,
-``linear_in``, ...) and never import a private kernel name or touch the raw
-numerator and denominator dicts.  Every ``def`` and ``class`` in the package
-is referenced from the package, the tests, the demos or the benchmark (whose
-tracer names the functions it wraps in strings); an ``__all__`` entry alone
-does not count.  Every imported name is loaded somewhere in its module, and
+``linear_in``, ...) and never import a private kernel name, touch the raw
+numerator and denominator dicts or read an atom's exponent field.  Every
+``def`` and ``class`` in the package is referenced from the package, the
+tests, the demos or the benchmark (whose tracer names the functions it wraps
+in strings); an ``__all__`` entry alone does not count.  Every imported name is loaded somewhere in its module, and
 every function the benchmark's tracer names still exists.  Only the
 functions listed in ``FULL_ELIMINATION`` call the full Gauss-Jordan
 ``linalg.eliminate``.  Every name in a module's ``__all__`` is defined in that
@@ -37,7 +37,7 @@ def _violations(path: Path) -> list[str]:
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exprs":
             out += [f"line {node.lineno}: imports {a.name}" for a in node.names if a.name.startswith("_")]
-        elif isinstance(node, ast.Attribute) and node.attr in ("_num", "_den"):
+        elif isinstance(node, ast.Attribute) and node.attr in ("_num", "_den", "_shift"):
             out.append(f"line {node.lineno}: touches .{node.attr}")
     return out
 
@@ -49,8 +49,9 @@ def test_no_private_kernel_access():
 
 def test_guard_catches_violations(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("from .exprs import Expr, _ONE\nfrom cartaneq.exprs import _plead\nn = e._num\nd = e._den\n")
-    assert len(_violations(bad)) == 4
+    bad.write_text("from .exprs import Expr, _ONE\nfrom cartaneq.exprs import _pmul\nn = e._num\nd = e._den\n"
+                   "m = 1 << atom._shift\n")
+    assert len(_violations(bad)) == 5
 
 
 # The only functions that may run the full Gauss-Jordan ``eliminate``: they
@@ -259,8 +260,8 @@ def test_unread_parameter_guard(tmp_path):
 # on the inputs of the ``command_sweep`` fixture; a listed function that a
 # command enters fails the guard, so the list stays exact.
 GCD_FALLBACK = (
-    "exact gcd behind GCDHEU, the complete path when _heu_gcd gives up (an exponent "
-    "above 255, or six failed evaluation points); tests force it; the benchmark's "
+    "exact gcd behind GCDHEU, the complete path when _heu_gcd gives up (six failed "
+    "evaluation points); tests force it; the benchmark's "
     "tracer binds _pgcd and _gcd_probe_trivial; ROADMAP item 5 removes it with a "
     "complete replacement and a benchmark change"
 )
@@ -278,7 +279,7 @@ REPR = "debugging repr; no output prints it"
 NEVER_ENTERED = {
     **dict.fromkeys(
         (
-            "exprs._mono_divides", "exprs._pmonic", "exprs._pdiv_exact", "exprs._from_univar",
+            "exprs._pmonic", "exprs._pdiv_exact", "exprs._from_univar",
             "exprs._u_content", "exprs._u_primitive", "exprs._u_scale", "exprs._u_sub", "exprs._prem",
             "exprs._dense_mod", "exprs._gf_gcd_degree", "exprs._gcd_probe_trivial", "exprs._pgcd",
         ),

@@ -127,14 +127,19 @@ def _scaling_problem(names="x, y", opaque="", param="a"):
         (dict(opaque="Y_yx = x"), "name 'Y_yx' is a jet variable of the target twin 'Y'"),
         (dict(names="x, g12"), "name 'g12' is a matrix-slot symbol of the group"),
         (dict(param="g21"), "name 'g21' is a matrix-slot symbol of the group"),
+        (dict(names="x, a_1_2"), r"name 'a_1_2' is a stage parameter of the group \(line 2\)"),
+        (dict(opaque="v1_1 = x, y"), r"name 'v1_1' is a stage parameter of the group \(line 4\)"),
     ],
     ids=["direction-symbol", "coordinate-twin", "opaque-twin", "parameter-twin",
-         "parameter-jet", "opaque-jet", "coordinate-slot", "parameter-slot"],
+         "parameter-jet", "opaque-jet", "coordinate-slot", "parameter-slot",
+         "coordinate-stage-parameter", "opaque-prolongation-parameter"],
 )
 def test_names_the_run_declares_itself_are_refused(names, message, tmp_path):
     # the run declares the direction symbols _dir{k}_{t}, a target twin X of
-    # each coordinate x, the twins' jets X_x, X_xy, ... and the matrix slots
-    # g11..gnn: check refuses a file that declares them first
+    # each coordinate x, the twins' jets X_x, X_xy, ... the matrix slots
+    # g11..gnn, and per stage a_1, a_1_2, ... for a group parameter a and
+    # v1_1, v2_1, ... for a prolonged group: check refuses a file that
+    # declares them first, whichever section comes first
     path = tmp_path / "clash.prob"
     path.write_text(_scaling_problem(**names))
     with pytest.raises(ProblemFileError, match=message):
@@ -144,6 +149,33 @@ def test_names_the_run_declares_itself_are_refused(names, message, tmp_path):
     path.write_text(_scaling_problem())
     for command in ("check", "run", "crosscheck"):
         assert main([command, str(path)]) == 0
+
+
+def test_stage_parameter_names_are_refused_before_the_run(tmp_path):
+    # toy_diag's first reduction declares a_1 for its group parameter a; the
+    # [opaque] section comes after [group], so the check waits for the params
+    text = (PROBLEMS / "toy_diag.prob").read_text()
+    path = tmp_path / "clash.prob"
+    path.write_text(text + "\n[opaque]\na_1 = x\n")
+    with pytest.raises(ProblemFileError, match=r"name 'a_1' is a stage parameter of the group \(line 30\)"):
+        parse_problem_text(path.read_text())
+    for command in ("check", "run", "crosscheck"):
+        assert main([command, str(path)]) == 1
+    path.write_text(text + "\n[opaque]\nb_1 = x\n")
+    for command in ("check", "run", "crosscheck"):
+        assert main([command, str(path)]) == 0
+
+
+def test_an_exponent_at_the_field_limit_is_a_problem_file_error(tmp_path):
+    # an exponent field holds up to 2**15 - 1
+    text = (PROBLEMS / "toy_diag.prob").read_text()
+    path = tmp_path / "power.prob"
+    path.write_text(text.replace("A 2 2 = x", "A 2 2 = x^32768"))
+    with pytest.raises(ProblemFileError, match=r"bad expression: an exponent reached 32768 \(line 15\)"):
+        parse_problem_text(path.read_text())
+    assert main(["check", str(path)]) == 1
+    path.write_text(text.replace("A 2 2 = x", "A 2 2 = x^32767"))
+    assert main(["check", str(path)]) == 0
 
 
 def test_cli_run_exit_codes(tmp_path):
