@@ -109,10 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ExprError as exc:
+    except (OSError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -142,57 +142,34 @@ class AbsorptionSystem:
 
     problem: GStructureProblem
     data: StructureData
-    mode: str  # "normalized" | "exact"
     slots: list[tuple[int, int, int]]
     unknowns: list[tuple[int, int]]  # (kappa, j), both 0-based
     coeffs: list[list[Fraction]]  # per slot, per unknown
-    lhs: list[Expr]  # normalization constants or B(X) expressions
 
 
 @dataclass
 class TorsionResidual:
     expr: Expr
-    combination: list[Fraction]  # weights over the system slots
     label: str
 
 
 @dataclass
 class AbsorptionSolution:
+    """Each unknown u solves to z_u = P[u] . (parametric z) + affine[u]."""
+
     system: AbsorptionSystem
     principal: list[tuple[int, int]]
     parametric: list[tuple[int, int]]
-    P: dict[tuple[int, int], list[Fraction]]
-    Q: dict[tuple[int, int], list[Fraction]]
-    c: list[Expr]
-    b: list[Expr] | None
+    P: dict[tuple[int, int], list[Fraction]]  # weights in `parametric` order
+    affine: dict[tuple[int, int], Expr]  # the (x, g)-dependent part
     torsion: list[TorsionResidual]
     r2: int
 
-    def z_affine_part(self, kappa: int, j: int) -> Expr:
-        """The (x, g)-dependent part of the solved z^kappa_j."""
-        ctx = self.system.problem.ctx
-        acc = ctx.zero
-        qrow = self.Q[(kappa, j)]
-        for f, w in enumerate(qrow):
-            if w:
-                acc = acc + ctx.expr(w) * (self.c[f] - self.system.lhs[f])
-        return acc
 
-
-def build_absorption(
-    p: GStructureProblem,
-    data: StructureData,
-    mode: str = "normalized",
-) -> AbsorptionSystem:
-    """One equation per (i, j<k): lhs = sum_k(F^{ik} z_j - F^{ij} z_k) + C^i_{jk}.
-
-    Normalized mode puts the default constant 0 on every left side; exact mode
-    puts B^i_{jk}(X) with X the target-coordinate twins.
-    """
-    ctx = p.ctx
+def build_absorption(p: GStructureProblem, data: StructureData) -> AbsorptionSystem:
+    """One equation per (i, j<k): 0 = sum_k(F^{ik} z_j - F^{ij} z_k) + C^i_{jk},
+    with the default normalization constant 0 on every left side."""
     n, r = p.n, p.group.r
-    if mode not in ("normalized", "exact"):
-        raise EngineError(f"unknown absorption mode {mode!r}")
     slots = [(i, j, k) for i in range(n) for (j, k) in pairs(n)]
     unknowns = [(kappa, j) for kappa in range(r) for j in range(n)]
     coeffs = []
@@ -208,66 +185,48 @@ def build_absorption(
                 val -= Fij[kappa]
             row.append(val)
         coeffs.append(row)
-    if mode == "normalized":
-        lhs = [ctx.zero for _ in slots]
-    else:
-        targets = {x: ctx.expr(target_symbol(ctx, x)) for x in p.chart.coords}
-        lhs = [data.B[slot].subs(targets) for slot in slots]
-    return AbsorptionSystem(p, data, mode, slots, unknowns, coeffs, lhs)
+    return AbsorptionSystem(p, data, slots, unknowns, coeffs)
 
 
 def solve_absorption(sys: AbsorptionSystem) -> AbsorptionSolution:
     """Gaussian elimination on the rational z-coefficients.
 
     Unknowns are eliminated in lexicographic (kappa, j) order with the first
-    nonzero pivot; right sides lhs - C ride along symbolically.  Rows left
-    with no unknowns are the torsion residuals.
+    nonzero pivot; the right sides -C ride along symbolically.  A pivot row
+    gives its unknown's affine part and its weights on the parametric
+    unknowns; rows left with no unknowns are the torsion residuals.
     """
-    nslots = len(sys.slots)
     nunk = len(sys.unknowns)
-    # [coefficients | tracked transform | right side]
-    augmented = [
-        list(row) + [Fraction(1 if f == e else 0) for f in range(nslots)]
-        + [sys.lhs[e] - sys.data.C[sys.slots[e]]]
-        for e, row in enumerate(sys.coeffs)
-    ]
+    augmented = [list(row) + [-sys.data.C[slot]] for row, slot in zip(sys.coeffs, sys.slots)]
     reduced, pivots, _ = eliminate(augmented, nunk)
     pivot_of_col = {c: e for e, c in pivots}
+    free = [c for c in range(nunk) if c not in pivot_of_col]
 
-    principal = [sys.unknowns[c] for c in sorted(pivot_of_col)]
-    parametric = [u for c, u in enumerate(sys.unknowns) if c not in pivot_of_col]
     P: dict[tuple[int, int], list[Fraction]] = {}
-    Q: dict[tuple[int, int], list[Fraction]] = {}
+    affine: dict[tuple[int, int], Expr] = {}
     for c, unk in enumerate(sys.unknowns):
         if c in pivot_of_col:
             row = reduced[pivot_of_col[c]]
-            P[unk] = [
-                (-row[c2] if c2 != c else Fraction(0)) for c2 in range(nunk)
-            ]
-            Q[unk] = [-t for t in row[nunk:-1]]
+            P[unk] = [-row[c2] for c2 in free]
+            affine[unk] = row[-1]
         else:
-            P[unk] = [Fraction(1 if c2 == c else 0) for c2 in range(nunk)]
-            Q[unk] = [Fraction(0)] * nslots
+            P[unk] = [Fraction(int(c2 == c)) for c2 in free]
+            affine[unk] = sys.problem.ctx.zero
 
     pivot_rows = {e for e, _ in pivots}
     torsion = [
-        TorsionResidual(row[-1], row[nunk:-1], residual_label(row[-1]))
+        TorsionResidual(row[-1], residual_label(row[-1]))
         for e, row in enumerate(reduced)
         if e not in pivot_rows
     ]
-
-    cvec = [sys.data.C[slot] for slot in sys.slots]
-    bvec = list(sys.lhs) if sys.mode == "exact" else None
-    r2 = nunk - len(pivot_of_col)
-    return AbsorptionSolution(
-        sys, principal, parametric, P, Q, cvec, bvec, torsion, r2
-    )
+    principal = [sys.unknowns[c] for c in sorted(pivot_of_col)]
+    parametric = [sys.unknowns[c] for c in free]
+    return AbsorptionSolution(sys, principal, parametric, P, affine, torsion, len(free))
 
 
 @dataclass
 class TorsionClassification:
     kinds: list[str]  # per residual: trivial | group-dependent | genuine
-    constant_targets: dict[int, Fraction]  # residual index -> forced constant
     full_rank: bool
     genuine: list[int]
     notes: list[str] = field(default_factory=list)
@@ -298,7 +257,6 @@ def classify_torsion(sol: AbsorptionSolution, rng: random.Random) -> TorsionClas
     """Tag residuals and test joint full rank in the group parameters."""
     group = sol.system.problem.group
     kinds: list[str] = []
-    const_targets: dict[int, Fraction] = {}
     genuine: list[int] = []
     notes: list[str] = []
     grads: list[list[Expr]] = []
@@ -310,7 +268,6 @@ def classify_torsion(sol: AbsorptionSolution, rng: random.Random) -> TorsionClas
         cval = e.as_fraction()
         if cval is not None:
             kinds.append("trivial")
-            const_targets[idx] = cval
             notes.append(f"residual {res.label} is the constant {cval}; absorbed into the normalization")
             continue
         grad = [e.diff(a) for a in group.params]
@@ -329,7 +286,7 @@ def classify_torsion(sol: AbsorptionSolution, rng: random.Random) -> TorsionClas
                 f"group-dependent residuals have parameter Jacobian rank {rank} < {len(grads)}; "
                 "normalizing a sub-collection would expose a genuine invariant"
             )
-    return TorsionClassification(kinds, const_targets, full_rank, genuine, notes)
+    return TorsionClassification(kinds, full_rank, genuine, notes)
 
 
 def _solve_residual_for_param(e: Expr, params: Sequence[Symbol]) -> tuple[Symbol, Expr] | None:
@@ -473,17 +430,13 @@ def prolonged_group(p: GStructureProblem, sol: AbsorptionSolution) -> ParamGroup
         ctx.declare_symbol(f"v{t + 1}_{p.stage + 1}", "group-parameter")
         for t in range(sol.r2)
     ]
-    par_index = {unk: t for t, unk in enumerate(sol.parametric)}
     entries = identity_matrix(ctx, N)
-    for kappa in range(r):
-        for j in range(n):
-            prow = sol.P[(kappa, j)]
-            acc = ctx.zero
-            for c, unk in enumerate(sol.system.unknowns):
-                w = prow[c]
-                if w and unk in par_index:
-                    acc = acc + ctx.expr(w) * ctx.expr(vparams[par_index[unk]])
-            entries[n + kappa][j] = acc
+    for (kappa, j), weights in sol.P.items():
+        acc = ctx.zero
+        for w, v in zip(weights, vparams):
+            if w:
+                acc = acc + ctx.expr(w) * ctx.expr(v)
+        entries[n + kappa][j] = acc
     return ParamGroup(ctx, N, tuple(vparams), entries, {v: Fraction(0) for v in vparams})
 
 
@@ -495,7 +448,7 @@ def prolong(
     """The G(2)-structure on the absorbed coframe bundle.
 
     New chart: (x, group parameters); new coframe: (g eta, pi) with
-    pi^k = alpha^k - (Q^k_j . (c - lhs)) (g eta)^j; new group: the abelian
+    pi^k = alpha^k - affine^k_j (g eta)^j; new group: the abelian
     block-unipotent group with M(v) entries P^k_j . v, of dimension r2.
     """
     if chars.involutive is True:
@@ -516,7 +469,7 @@ def prolong(
     for kappa in range(r):
         xpart = [ctx.zero] * n
         for j in range(n):
-            shift = sol.z_affine_part(kappa, j)
+            shift = sol.affine[(kappa, j)]
             if shift.is_zero():
                 continue
             for t in range(n):
@@ -612,7 +565,7 @@ def loop_stages(p: GStructureProblem, rng: random.Random) -> tuple[
     normalized absorption, then classification and characters, which draw
     from ``rng`` in that order (the order fixes a report's witnesses)."""
     data = compute_structure_data(p)
-    sol = solve_absorption(build_absorption(p, data, "normalized"))
+    sol = solve_absorption(build_absorption(p, data))
     classification = classify_torsion(sol, rng)
     chars = cartan_characters(p, sol, rng)
     return data, sol, classification, chars

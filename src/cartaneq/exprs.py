@@ -127,7 +127,7 @@ class OpaqueAtom:
     owning Context, so identity comparison is safe inside polynomial dicts.
     """
 
-    __slots__ = ("func", "deriv", "args", "_key", "_free", "_hash", "_shift")
+    __slots__ = ("func", "deriv", "args", "_key", "_free", "_shift")
 
     def __init__(self, func: OpaqueFunc, deriv: tuple[int, ...], args: tuple["Expr", ...]):
         self.func = func
@@ -138,7 +138,6 @@ class OpaqueAtom:
         for a in args:
             free |= a.free_symbols
         self._free = frozenset(free)
-        self._hash = hash(self._key)
 
     @property
     def sort_key(self):
@@ -1322,11 +1321,11 @@ class Expr:
         return sub_expr(self)
 
     def eval_at(self, point: Mapping[Atom, Fraction | int]) -> Fraction:
-        """Exact numeric value with every atom bound to a rational."""
-        values = {}  # shift -> the atom's value as a Fraction
+        """Exact numeric value with every atom bound to an int or a Fraction."""
+        values = {}  # shift -> the atom's value
         for atom in self.atoms():
             try:
-                values[atom._shift] = Fraction(point[atom])
+                values[atom._shift] = point[atom]
             except KeyError:
                 raise UnboundAtomError(f"no binding for {atom}") from None
 

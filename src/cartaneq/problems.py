@@ -233,9 +233,14 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
 
 
 def load_problem(path: str | Path) -> tuple[GStructureProblem, Policy]:
-    """Parse and fully validate a problem file."""
+    """Parse and fully validate a problem file; a file that cannot be read as
+    UTF-8 text is a ProblemFileError."""
     path = Path(path)
-    problem, policy = parse_problem_text(path.read_text(), title_default=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProblemFileError(f"cannot read {path}: {exc}") from None
+    problem, policy = parse_problem_text(text, title_default=path.stem)
     validate_problem(problem, policy)
     return problem, policy
 

@@ -209,21 +209,6 @@ def test_criterion_5c_identity_compatibility():
     print("\nACCEPTANCE 5c PASS: C(x, I) = B(x) on 100 randomized coframes and groups")
 
 
-def test_criterion_5d_r2_mode_equality():
-    count = 0
-    for seed in range(100):
-        p = drawn_problem(seed)
-        data = compute_structure_data(p)
-        solN = solve_absorption(build_absorption(p, data, "normalized"))
-        solE = solve_absorption(build_absorption(p, data, "exact"))
-        assert solN.r2 == solE.r2
-        assert solN.P == solE.P
-        count += 1
-    assert count == 100
-    print("\nACCEPTANCE 5d PASS: exact and normalized absorption give identical r2 "
-          "and P on 100 randomized problems")
-
-
 def _chars_from_F(ctx, n, r, F, r2, rng):
     # contracted with e_l, row i of the system is F^{il}
     tableau = [[[ctx.expr(f) for f in F[(i, l)]] for i in range(n)] for l in range(n)]

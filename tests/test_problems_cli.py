@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -184,6 +187,26 @@ def test_cli_run_exit_codes(tmp_path):
     assert main(["run", str(PROBLEMS / "toy_genuine.prob")]) == 2
     assert main(["run", str(PROBLEMS / "toy_diag.prob"), "--max-loops", "0"]) == 3
     assert main(["run", str(tmp_path / "missing.prob")]) == 1
+
+
+@pytest.mark.parametrize("case", ["problem-is-a-directory", "problem-not-utf8", "json-to-a-directory"])
+def test_input_output_errors_are_one_error_line(case, tmp_path):
+    # an operating-system or decoding error while reading the problem or
+    # writing the report exits 1 with one "error:" line, not a traceback
+    toy = PROBLEMS / "toy_diag.prob"
+    bad = tmp_path / "bad.prob"
+    bad.write_bytes(toy.read_bytes().replace(b"names = x", b"names = x\xff", 1))
+    argv = {
+        "problem-is-a-directory": ["check", str(tmp_path)],
+        "problem-not-utf8": ["check", str(bad)],
+        "json-to-a-directory": ["run", str(toy), "--json", str(tmp_path)],
+    }[case]
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-m", "cartaneq.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 # Charts of dimension 1: a 1-form has no index pairs, so B, C and every
