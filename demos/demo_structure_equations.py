@@ -2,21 +2,26 @@
 
 Computes the structure functions of the contact coframe of a first-order
 Lagrangian L(x, u, p), the starting data of the divergence-equivalence
-problem, and shows the exterior-algebra toolkit along the way.
+problem, and shows the row form of the exterior algebra along the way: a
+form is the row of its coefficients against a coframe, or against its wedge
+products on the pairs j < k.
 """
 
 from cartaneq import Context
 from cartaneq.forms import (
     Chart,
     Coframe,
-    DiffForm,
-    VectorField,
-    coordinate_coframe,
     exterior_derivative,
-    interior_product,
+    exterior_square,
+    pairs,
+    rewrite_in_coframe,
     structure_functions,
-    wedge,
 )
+from cartaneq.linalg import identity_matrix
+
+
+def show(row, basis):
+    return " + ".join(f"({c}) {b}" for c, b in zip(row, basis) if not c.is_zero()) or "0"
 
 
 def main():
@@ -29,7 +34,6 @@ def main():
     Lpp = ctx.parse("L_pp(x,u,p)")
     eta = Coframe(
         chart,
-        ["eta1", "eta2", "eta3"],
         [[ctx.one, ctx.zero, ctx.zero],
          [-ctx.sym("p"), ctx.one, ctx.zero],
          [-Et, ctx.zero, Lpp]],
@@ -44,19 +48,20 @@ def main():
             print(f"B^{i + 1}_({j + 1}{k + 1}) =", val)
     print("(every other entry vanishes; note B^3_(13) = 0: the coframe is adapted)")
 
-    print("\n-- exterior algebra spot checks --")
-    cc = coordinate_coframe(chart)
-    eta2 = DiffForm(1, cc, {(0,): -ctx.sym("p"), (1,): ctx.one})
-    eta3 = DiffForm(1, cc, {(0,): -Et, (2,): Lpp})
-    w = wedge(eta2, eta3)
-    print("eta2 ^ eta3 =", w)
-    d3 = exterior_derivative(eta3)
-    print("d eta3 =", d3)
-    v = VectorField(cc, [ctx.one, ctx.zero, ctx.zero])
-    print("d/dx . (eta2 ^ eta3) =", interior_product(v, w))
+    print("\n-- exterior algebra on coefficient rows --")
+    cc = Coframe(chart, identity_matrix(ctx, 3))
+    dx_pairs = [f"d{chart.coords[j].name}^d{chart.coords[k].name}" for j, k in pairs(3)]
+    eta3 = eta.transition[2]
+    w = exterior_square(eta.transition)[pairs(3).index((1, 2))]
+    print("eta2 ^ eta3 =", show(w, dx_pairs))
+    (d3,) = exterior_derivative([eta3], cc)
+    print("d eta3 =", show(d3, dx_pairs))
+    (d3_eta,) = rewrite_in_coframe([d3], 2, cc, eta)
+    print("d eta3 rewritten in the coframe eta is row B^3:", d3_eta == [B[(2, j, k)] for j, k in pairs(3)])
 
-    f = DiffForm.function(cc, ctx.parse("L(x,u,p)*x"))
-    print("d(d(L x)) is zero:", exterior_derivative(exterior_derivative(f)).is_zero())
+    f = ctx.parse("L(x,u,p)*x")
+    (ddf,) = exterior_derivative([[f.diff(c) for c in chart.coords]], cc)
+    print("d(d(L x)) is zero:", all(c.is_zero() for c in ddf))
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@
     cartaneq crosscheck <file> [--seed S]
     cartaneq check <file>
 
-Exit codes: 0 success (involutive or e-structure; crosscheck equal), 1 error
-or crosscheck mismatch, 2 constant-type violation, 3 loop cap exceeded.
+Exit codes: 0 success (involutive or e-structure; crosscheck equal), 1 error,
+usage error or crosscheck mismatch, 2 constant-type violation, 3 loop cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -106,7 +107,11 @@ def main(argv: list[str] | None = None) -> int:
     p_chk.add_argument("file")
     p_chk.set_defaults(func=_cmd_check)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 is the constant-type-violation code
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (OSError, ExprError) as exc:

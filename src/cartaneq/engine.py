@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from .characters import CharacterReport, reduced_characters
 from .exprs import Context, Expr, ExprError, PoleError, Symbol
-from .forms import Chart, Coframe, exterior_square, pairs, structure_functions
+from .forms import Chart, Coframe, pairs, rewrite_by, structure_functions
 from .groups import (
     MCBasis,
     ParamGroup,
@@ -124,11 +124,11 @@ def compute_structure_data(p: GStructureProblem) -> StructureData:
     B = structure_functions(p.coframe)
     mc = right_mc(p.group)
     gA = mat_mul(p.group.entries, p.coframe.transition)
-    g_coframe = Coframe(p.chart, tuple(f"w{i + 1}" for i in range(n)), gA)
+    g_coframe = Coframe(p.chart, gA)
     id_binds = {s: ctx.expr(v) for s, v in p.group.identity_values.items()}
     P = pairs(n)
     gB = mat_mul(p.group.entries, [[B[(i, j, k)] for (j, k) in P] for i in range(n)])
-    Cm = mat_mul(gB, exterior_square(mc.inverse))
+    Cm = rewrite_by(gB, mc.inverse, 2)
     C = {(i, j, k): Cm[i][q] for i in range(n) for q, (j, k) in enumerate(P)}
     for key, c in C.items():
         if not (c.subs(id_binds) - B[key]).is_zero():
@@ -398,7 +398,7 @@ def reduce_group(
         raise ReductionNeeded("isotropy dimension does not match the number of residuals")
 
     new_transition = mat_mul(section_matrix, p.coframe.transition)
-    new_coframe = Coframe(p.chart, p.coframe.names, new_transition)
+    new_coframe = Coframe(p.chart, new_transition)
     prov = list(p.provenance)
     prov.append(
         "reduced structure group from dim {} to dim {}; isotropy: {}".format(
@@ -476,8 +476,7 @@ def prolong(
                 xpart[t] = xpart[t] - shift * gA[j][t]
         apart = [mc.alpha_coeffs[kappa][t] for t in range(r)]
         rows.append(xpart + apart)
-    names = tuple(p.coframe.names) + tuple(f"pi{kappa + 1}" for kappa in range(r))
-    new_coframe = Coframe(new_chart, names, rows)
+    new_coframe = Coframe(new_chart, rows)
 
     new_group = prolonged_group(p, sol)
     new_group.validate()

@@ -299,7 +299,12 @@ def prolong_system(R: JetSystem) -> ProlongedSystem:
     sparsest entry); the remainders are combined once at the end through the
     tracked transform matrix of the non-pivot rows, which is where the
     integrability conditions appear.  The rows are kept in echelon form; see
-    :class:`ProlongedSystem`.
+    :class:`ProlongedSystem`.  The transform stays because carrying each
+    remainder as a last column of the elimination instead gives the same
+    conditions but makes every pivot step combine the large lower-order
+    remainders: on a 2-vCPU VM with Python 3.11 that took the in-process
+    Lagrangian crosscheck from 53 to 77 ms, and its whole
+    ``complete_to_involution`` from 0.27 to 13 s of CPU time.
     """
     space = R.space
     ctx = space.ctx

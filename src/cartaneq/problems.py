@@ -94,6 +94,7 @@ def _stage_names_free(declared: list[tuple[str, int]], params: list[str]):
 
 def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructureProblem, Policy]:
     sections: dict[str, list[tuple[int, str]]] = {}
+    keys: dict[tuple[str, str], int] = {}  # (section, key) -> line that gave it
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,6 +106,10 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
             continue
         if current is None:
             raise ProblemFileError("content before the first [section]", lineno)
+        key, eq, _ = line.partition("=")
+        key = " ".join(str(int(t)) if t.isdecimal() else t for t in key.split())  # A 1 01 is A 1 1
+        if eq and (current, key) != ("membership", "eq") and keys.setdefault((current, key), lineno) != lineno:
+            raise ProblemFileError(f"[{current}] gives {key!r} twice, first on line {keys[current, key]}", lineno)
         sections[current].append((lineno, line))
 
     for required in ("coordinates", "coframe", "group"):
@@ -162,7 +167,7 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
         for j in range(n):
             if A[i][j] is None:
                 raise ProblemFileError(f"coframe entry A {i + 1} {j + 1} missing")
-    coframe = Coframe(chart, tuple(f"e{i + 1}" for i in range(n)), A)
+    coframe = Coframe(chart, A)
 
     params = None
     entries = [[None] * n for _ in range(n)]

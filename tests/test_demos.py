@@ -1,8 +1,8 @@
 """Each script under ``demos/`` prints the bytes it printed when its digest
 was recorded.
 
-The demos reach code that no benchmark request does, such as the
-differential-form algebra of ``forms.py``.  A change that means to alter what
+The demos reach code that no benchmark request does, such as
+``forms.rewrite_in_coframe``.  A change that means to alter what
 a demo prints records the new digest here and says why in CHANGES.md.
 """
 
@@ -22,7 +22,7 @@ DIGESTS = {
     "demo_expression_kernel.py": "ecb15368f4c85d2beb80c8c64d810195826887808a4dd1c9e375f4ac6ba315e4",
     "demo_jet_completion.py": "3697c6e20f1a1ee2b939a3f700b23d073931ba06bc6c72b6246fc9c9bafbd62f",
     "demo_lagrangian_equivalence.py": "65c20f9a2ceed690454809ee3617a62cfbcdce885a3d4f573a7a0c29d9588703",
-    "demo_structure_equations.py": "fd1531c2b33a065c3a228ca578c1a7182ca2e10a967667fdf444264eb94a038d",
+    "demo_structure_equations.py": "3ace2a1f428ccfb432fe70deb4b9889e297c0e57b62ac8adfbcacb8984fbfbf7",
 }
 
 

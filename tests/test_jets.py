@@ -361,7 +361,7 @@ def test_encode_requires_membership_or_recovery():
     from cartaneq.groups import GroupError, ParamGroup
 
     chart = Chart(ctx, [x])
-    eta = Coframe(chart, ["e1"], [[ctx.one]])
+    eta = Coframe(chart, [[ctx.one]])
     (a,) = ctx.declare_symbols(["a"], "group-parameter")
     # a parametrization that the triangular solver cannot invert slot-wise
     g = ParamGroup(ctx, 1, (a,), [[(1 + ctx.sym("a") ** 3)]], {a: 0})

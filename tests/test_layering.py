@@ -266,9 +266,10 @@ GCD_FALLBACK = (
     "complete replacement and a benchmark change"
 )
 FORM_API = (
-    "public form API that demos/demo_structure_equations.py shows; the benchmark's "
-    "tracer binds rewrite_in_coframe and exterior_derivative; revisit with the "
-    "benchmark change that unbinds them (ROADMAP item 5)"
+    "the reference route that inverts the target coframe, which tests/test_engine.py "
+    "checks the torsion sources against and demos/demo_structure_equations.py shows; "
+    "the benchmark's tracer binds it; revisit with the benchmark change that unbinds "
+    "it (ROADMAP item 5)"
 )
 COMPLETION = (
     "whole-run Cartan-Kuranishi completion, which the demos call; ROADMAP item 1 "
@@ -285,20 +286,7 @@ NEVER_ENTERED = {
         ),
         GCD_FALLBACK,
     ),
-    **dict.fromkeys(
-        (
-            "forms.Chart.__eq__", "forms.Chart.__hash__", "forms.Chart.__repr__", "forms.Coframe.ctx",
-            "forms.Coframe.element", "forms.Coframe.__eq__", "forms.Coframe.__repr__",
-            "forms.coordinate_coframe", "forms.DiffForm.__init__", "forms.DiffForm.ctx",
-            "forms.DiffForm.zero", "forms.DiffForm.function", "forms.DiffForm.coeff",
-            "forms.DiffForm.is_zero", "forms.DiffForm.__add__", "forms.DiffForm.__neg__",
-            "forms.DiffForm.__sub__", "forms.DiffForm.scale", "forms.DiffForm.__eq__",
-            "forms.DiffForm.__str__", "forms.DiffForm.__repr__", "forms.VectorField.__init__",
-            "forms.VectorField.__repr__", "forms.wedge", "forms.rewrite_in_coframe", "forms.rewrite_by",
-            "forms.exterior_derivative", "forms.interior_product",
-        ),
-        FORM_API,
-    ),
+    "forms.rewrite_in_coframe": FORM_API,
     "linalg.row_reduce": "the benchmark's tracer binds it; its one caller is the reference in tests/test_jets.py",
     **dict.fromkeys(
         (
@@ -322,8 +310,7 @@ def test_never_entered_names_the_tracer_binds():
     # deletion goes with that change
     bound = {f"{layer}.{path}" for layer, _, path in tracer.TRACED} & set(NEVER_ENTERED)
     assert bound == {
-        "exprs._pgcd", "exprs._gcd_probe_trivial", "forms.rewrite_in_coframe", "forms.exterior_derivative",
-        "linalg.row_reduce",
+        "exprs._pgcd", "exprs._gcd_probe_trivial", "forms.rewrite_in_coframe", "linalg.row_reduce",
     }
 
 

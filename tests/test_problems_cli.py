@@ -189,6 +189,42 @@ def test_cli_run_exit_codes(tmp_path):
     assert main(["run", str(tmp_path / "missing.prob")]) == 1
 
 
+def test_usage_errors_exit_1_not_the_violation_code(capsys):
+    # argparse exits 2 on a usage error, the code of a constant-type violation
+    toy = str(PROBLEMS / "toy_diag.prob")
+    for argv in (["run"], ["frobnicate"], ["run", toy, "--max-loops", "abc"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.count("error:") == 1, argv
+    assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "first, again",
+    [
+        ("names = x, y", "names = s, t"),
+        ("params = a", "params = b"),
+        ("A 1 1 = 1", "A 1 1 = 7"),
+        ("A 2 2 = x", "A 2 02 = 5*x"),
+        ("M 2 2 = 1", "M  2 2 = 3"),
+        ("identity a = 1", "identity a = 2"),
+        ("seed = 0", "seed = 1"),
+    ],
+    ids=["names", "params", "coframe-entry", "coframe-entry-zero-padded", "group-entry", "identity", "policy"],
+)
+def test_a_key_given_twice_in_a_section_is_refused(first, again, tmp_path):
+    # the second line would silently override the first; [membership] 'eq'
+    # lines repeat by design (test_cli_crosscheck_detects_corrupted_membership)
+    lines = (PROBLEMS / "toy_diag.prob").read_text().splitlines()
+    at = lines.index(first) + 1
+    lines.insert(at, again)
+    path = tmp_path / "twice.prob"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProblemFileError, match="twice") as err:
+        parse_problem_text(path.read_text())
+    assert err.value.line == at + 1
+    assert main(["check", str(path)]) == 1
+
+
 @pytest.mark.parametrize("case", ["problem-is-a-directory", "problem-not-utf8", "json-to-a-directory"])
 def test_input_output_errors_are_one_error_line(case, tmp_path):
     # an operating-system or decoding error while reading the problem or
