@@ -109,6 +109,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "max_loops", None) is not None and args.max_loops < 1:
+            p_run.error(f"argument --max-loops: must be at least 1, got {args.max_loops}")
     except SystemExit as exc:
         # argparse exits 2 on a usage error, but 2 is the constant-type-violation code
         return 1 if exc.code else 0

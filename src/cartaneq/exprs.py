@@ -314,16 +314,6 @@ def _ppow(p: Poly, n: int) -> Poly:
     return result
 
 
-def _pmonic(p: Poly) -> Poly:
-    """p scaled to the coefficient 1 at its largest monomial."""
-    if not p:
-        return p
-    c = p[max(p)]
-    if c == 1:
-        return p
-    return _pscale(p, _qdiv(1, c))
-
-
 def _pconst(p: Poly) -> Coeff | None:
     if not p:
         return _ZERO
@@ -348,28 +338,6 @@ def _pdiv_mono(p: Poly, m: Mono) -> Poly:
     return dict(sorted(((k - m, c) for k, c in p.items()), reverse=True))
 
 
-def _pdiv_exact(p: Poly, d: Poly) -> Poly:
-    """Divide p by d, asserting the division is exact.  Unless d is a
-    constant, the quotient's terms come in descending order."""
-    if not d:
-        raise DivisionByZeroError("polynomial division by zero")
-    dc = _pconst(d)
-    if dc is not None:
-        return _pscale(p, _qdiv(1, dc))
-    out: Poly = {}
-    rem = dict(p)
-    dl_m = max(d)
-    dl_c = d[dl_m]
-    while rem:
-        rl_m = max(rem)
-        if not _mono_divides(dl_m, rl_m):
-            raise ExprError("inexact polynomial division")
-        qm = rl_m - dl_m  # below the last step's: the leading term cancels
-        qc = out[qm] = _qdiv(rem[rl_m], dl_c)
-        _paddmul(rem, d, qm, -qc)
-    return out
-
-
 def _as_univar(p: Poly, s: int) -> dict[int, Poly]:
     """p as a polynomial in the atom of shift s: degree -> coefficient."""
     out: dict[int, Poly] = {}
@@ -377,54 +345,6 @@ def _as_univar(p: Poly, s: int) -> dict[int, Poly]:
         deg = m >> s & 0xFFFF
         out.setdefault(deg, {})[m ^ deg << s] = c
     return out
-
-
-def _from_univar(u: dict[int, Poly], s: int) -> Poly:
-    return {m + (deg << s): c for deg, coeff in u.items() for m, c in coeff.items()}
-
-
-def _u_content(u: dict[int, Poly]) -> Poly:
-    g: Poly = {}
-    for coeff in sorted(u.values(), key=len):  # the gcd of the shortest is the likeliest to reach 1
-        g = _pgcd(g, coeff)
-        if _pconst(g) is not None and g:
-            return {0: _ONE}
-    return g
-
-
-def _u_primitive(u: dict[int, Poly]) -> dict[int, Poly]:
-    cont = _u_content(u)
-    if _pconst(cont) == 1:
-        return u
-    return {d: _pdiv_exact(c, cont) for d, c in u.items()}
-
-
-def _u_scale(u: dict[int, Poly], f: Poly) -> dict[int, Poly]:
-    return {d: _pmul(c, f) for d, c in u.items()}
-
-
-def _u_sub(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
-    out = {d: dict(c) for d, c in a.items()}
-    for d, c in b.items():
-        s = _padd(out.get(d, {}), _pneg(c))
-        if s:
-            out[d] = s
-        else:
-            out.pop(d, None)
-    return out
-
-
-def _prem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
-    """Pseudo-remainder of univariate polynomials with Poly coefficients."""
-    db = max(b)
-    lb = b[db]
-    r = a
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        shifted = {d + dr - db: _pmul(c, lr) for d, c in b.items()}
-        r = _u_sub(_u_scale(r, lb), shifted)
-    return r
 
 
 # The gcd-triviality probe works modulo this Mersenne prime.
@@ -475,8 +395,8 @@ def _gcd_probe_trivial(a: dict[int, Poly], b: dict[int, Poly]) -> bool:
     decides at the first point where both leading coefficients survive.
     There a nontrivial gcd maps to a common divisor of the same degree, so a
     degree-0 gcd mod _P proves the rational gcd trivial.  An unlucky prime
-    or point only answers False, which sends the caller down the exact
-    Euclid path."""
+    or point only answers False, which sends the caller through the whole
+    pseudo-remainder sequence."""
     others = sorted(s for s, _ in _exponents(reduce(or_, chain(*a.values(), *b.values()), 0)))
     for shiftbase in (2, 17, 53):
         point = {s: shiftbase + 3 * i for i, s in enumerate(others)}
@@ -489,51 +409,7 @@ def _gcd_probe_trivial(a: dict[int, Poly], b: dict[int, Poly]) -> bool:
     return False
 
 
-def _pgcd(p: Poly, q: Poly) -> Poly:
-    """Gcd of multivariate polynomials over the rationals, made monic by
-    ``_pmonic``."""
-    if not p:
-        return _pmonic(q)
-    if not q:
-        return _pmonic(p)
-    if _pconst(p) is not None or _pconst(q) is not None:
-        return {0: _ONE}
-    mp = _pmono_content(p)
-    mq = _pmono_content(q)
-    mg = _mono_gcd(mp, mq)
-    p1 = {m - mp: c for m, c in p.items()} if mp else p
-    q1 = {m - mq: c for m, c in q.items()} if mq else q
-    if _pconst(p1) is not None or _pconst(q1) is not None:
-        return {mg: _ONE}
-    shared = _psupport(p1) & _psupport(q1)
-    if not shared:
-        return {mg: _ONE}
-    v = (shared & -shared).bit_length() - 16  # the lowest shared field
-    a = _as_univar(p1, v)
-    b = _as_univar(q1, v)
-    ca = _u_content(a)
-    cb = _u_content(b)
-    d = _pgcd(ca, cb)
-    if _gcd_probe_trivial(a, b):
-        return _pmonic(_pmul({mg: _ONE}, d))
-    a = {deg: _pdiv_exact(c, ca) for deg, c in a.items()}
-    b = {deg: _pdiv_exact(c, cb) for deg, c in b.items()}
-    if max(a) < max(b):
-        a, b = b, a
-    while True:
-        r = _prem(a, b)
-        if not r:
-            g = b
-            break
-        if max(r) == 0:
-            g = {0: {0: _ONE}}
-            break
-        a, b = b, _u_primitive(r)
-    core = _from_univar(g, v)
-    return _pmonic(_pmul(_pmul({mg: _ONE}, d), core))
-
-
-# The heuristic gcd works on integer polynomials: a dict from a monomial to a
+# The integer gcd works on integer polynomials: a dict from a monomial to a
 # nonzero int.  Integer order on monomials is lex with the highest field the
 # most significant, so max() finds a leading term.
 
@@ -669,6 +545,81 @@ def _zz_heu_gcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
     return None
 
 
+def _zz_gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
+    """(h, f/h, g/h) with h the gcd over the integers of the nonzero integer
+    polynomials f and g: GCDHEU, or ``_pgcd`` when it gives up."""
+    got = _zz_heu_gcd(f, g)
+    if got is None:
+        h = _pgcd(f, g)
+        got = h, _zz_div(f, h), _zz_div(g, h)
+    return got
+
+
+def _zz_content(u: dict[int, dict]) -> dict:
+    """The gcd of the coefficients of the univariate form u, the shortest
+    first: their gcd is the likeliest to reach a unit."""
+    coeffs = sorted(u.values(), key=len)
+    h = coeffs[0]
+    for c in coeffs[1:]:
+        if _pconst(h) in (1, -1):
+            break
+        h = _zz_gcd(h, c)[0]
+    return h
+
+
+def _zz_prem(f: dict, g: dict, s: int) -> tuple[dict, dict]:
+    """(lc**(deg f - deg g + 1) * f mod g, lc) with lc the leading
+    coefficient of g, in the atom of shift s, the highest field of both, for
+    deg f >= deg g: the pseudo-remainder."""
+    low = (1 << s) - 1
+    dg = max(g) >> s
+    lg = {e & low: c for e, c in g.items() if e >> s == dg}
+    k = (max(f) >> s) - dg + 1
+    while f and max(f) >> s >= dg:
+        df = max(f) >> s
+        lf = {e & low: c for e, c in f.items() if e >> s == df}
+        f = _pmul(f, lg)
+        _paddmul(f, _pmul(lf, g), (df - dg) << s, -1)
+        k -= 1
+    return _pmul(f, _ppow(lg, k)), lg
+
+
+def _pgcd(f: dict, g: dict) -> dict:
+    """The gcd over the integers of the nonzero integer polynomials f and g,
+    with a positive leading coefficient: the exact route behind GCDHEU.
+
+    Writes both in the atom of their highest field, takes the gcd of their
+    contents through ``_zz_gcd``, and the gcd of their primitive parts by
+    the subresultant PRS (Collins, JACM 14, 1967; Brown and Traub, JACM 18,
+    1971).  That divides each pseudo-remainder exactly by lc * h**delta,
+    which bounds coefficient growth with no content taken per step; the gcd
+    is the primitive part of the last nonzero remainder.  The probe
+    ``_gcd_probe_trivial`` proves most trivial gcds before the sequence."""
+    top = max(max(f), max(g))
+    if not top:
+        return {0: math.gcd(f[0], g[0])}
+    s = top.bit_length() - 1 & -16
+    uf, ug = _as_univar(f, s), _as_univar(g, s)
+    cf, cg = _zz_content(uf), _zz_content(ug)
+    h = _zz_gcd(cf, cg)[0]
+    if max(uf) and max(ug) and not _gcd_probe_trivial(uf, ug):
+        a, b = _zz_div(f, cf), _zz_div(g, cg)
+        if max(a) < max(b):
+            a, b = b, a
+        lead = scale = {0: 1}
+        while True:
+            delta = (max(a) >> s) - (max(b) >> s)
+            r, lb = _zz_prem(a, b, s)
+            if not r or not max(r) >> s:  # b is the gcd, or the gcd is 1
+                break
+            a, b, lead = b, _zz_div(r, _pmul(lead, _ppow(scale, delta))), lb
+            if delta:
+                scale = _zz_div(_ppow(lead, delta), _ppow(scale, delta - 1))
+        if not r:
+            h = _pmul(h, _zz_div(b, _zz_content(_as_univar(b, s))))
+    return _pneg(h) if h[max(h)] < 0 else h
+
+
 def _zz_form(p: Poly) -> tuple[dict, Mono, Coeff]:
     """(P, m, r) with p = r * m * P: P an integer polynomial, primitive and
     free of monomial content."""
@@ -696,18 +647,17 @@ def _private_coefficient_is_a_term(p: Poly, private: int) -> bool:
     return 1 in terms.values()
 
 
-def _heu_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly] | None:
-    """(g, p/g, q/g) with g a gcd of the nonzero polynomials p and q, or None
-    when the heuristic gives up.
+def _gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, p/g, q/g) with g a gcd of the nonzero polynomials p and q.
 
     Sides without a common atom, or with a monomial among them, have a
     monomial gcd.  So do sides where one has a coefficient of one term in
     the atoms the other lacks: g divides the other side, so it is free of
     those atoms and divides each such coefficient, a monomial.  Otherwise it
-    strips each side's rational and monomial content and runs
-    ``_zz_heu_gcd`` on what is left.  When g is a constant the cofactors
+    strips each side's rational and monomial content and takes the integer
+    gcd ``_zz_gcd`` of what is left.  When g is a constant the cofactors
     are p and q themselves; otherwise they are new Polys in descending
-    order, the order ``_pdiv_exact`` gives."""
+    order."""
     pa, qa = _psupport(p), _psupport(q)
     if not pa & qa:
         m = 0
@@ -719,10 +669,7 @@ def _heu_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly] | None:
         Q, mq, rq = _zz_form(q)
         mg = _mono_gcd(mp, mq)
         if _psupport(P) & _psupport(Q):
-            got = _zz_heu_gcd(P, Q)
-            if got is None:
-                return None
-            G, P, Q = got
+            G, P, Q = _zz_gcd(P, Q)
             if len(G) > 1 or next(iter(G)):
                 return (_from_dense(G, G.values(), mg),
                         _from_dense(P, (rp * c for c in P.values()), mp - mg),
@@ -731,18 +678,6 @@ def _heu_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly] | None:
     if not m:
         return {0: _ONE}, p, q
     return {m: _ONE}, _pdiv_mono(p, m), _pdiv_mono(q, m)
-
-
-def _gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, p/g, q/g) with g a gcd of the nonzero polynomials p and q: the
-    heuristic gcd, or the exact Euclid when it gives up."""
-    got = _heu_gcd(p, q)
-    if got is not None:
-        return got
-    g = _pgcd(p, q)
-    if _pconst(g) is None or g[0] != 1:
-        return g, _pdiv_exact(p, g), _pdiv_exact(q, g)
-    return g, p, q
 
 
 def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from .engine import GStructureProblem, Policy, target_name
@@ -150,27 +151,35 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
         except ExprError as exc:
             raise ProblemFileError(f"bad expression: {exc}", lineno) from None
 
-    A = [[None] * n for _ in range(n)]
+    def index(what: str, lineno: int, parts: list[str]) -> tuple[int, int]:
+        """The 0-based (i, j) of a key 'X i j'."""
+        try:
+            i, j = int(parts[1]) - 1, int(parts[2]) - 1
+            if 0 <= i < n and 0 <= j < n:
+                return i, j
+        except ValueError:
+            pass
+        raise ProblemFileError(f"{what} index out of range for n = {n}", lineno)
+
+    def matrix(what: str, letter: str, entries: dict) -> list[list]:
+        """The n x n matrix of ``entries`` by (i, j), every one of them given."""
+        for i, j in product(range(n), repeat=2):
+            if (i, j) not in entries:
+                raise ProblemFileError(f"{what} entry {letter} {i + 1} {j + 1} missing")
+        return [[entries[i, j] for j in range(n)] for i in range(n)]
+
+    A = {}
     for lineno, line in sections["coframe"]:
         key, eq, value = line.partition("=")
         parts = key.split()
         if not eq or len(parts) != 3 or parts[0] != "A":
             raise ProblemFileError("coframe lines look like 'A i j = expr'", lineno)
-        try:
-            i, j = int(parts[1]) - 1, int(parts[2]) - 1
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError
-        except ValueError:
-            raise ProblemFileError(f"coframe index out of range for n = {n}", lineno) from None
-        A[i][j] = parse_entry(lineno, value)
-    for i in range(n):
-        for j in range(n):
-            if A[i][j] is None:
-                raise ProblemFileError(f"coframe entry A {i + 1} {j + 1} missing")
-    coframe = Coframe(chart, A)
+        at = index("coframe", lineno, parts)
+        A[at] = parse_entry(lineno, value)
+    coframe = Coframe(chart, matrix("coframe", "A", A))
 
     params = None
-    entries = [[None] * n for _ in range(n)]
+    M = {}
     identity: dict = {}
     for lineno, line in sections["group"]:
         key, eq, value = line.partition("=")
@@ -181,13 +190,8 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
             continue
         parts = key.split()
         if parts and parts[0] == "M" and len(parts) == 3:
-            try:
-                i, j = int(parts[1]) - 1, int(parts[2]) - 1
-                if not (0 <= i < n and 0 <= j < n):
-                    raise ValueError
-            except ValueError:
-                raise ProblemFileError(f"group index out of range for n = {n}", lineno) from None
-            entries[i][j] = parse_entry(lineno, value)
+            at = index("group", lineno, parts)
+            M[at] = parse_entry(lineno, value)
             continue
         if parts and parts[0] == "identity" and len(parts) == 2:
             try:
@@ -199,10 +203,7 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
     if params is None:
         raise ProblemFileError("section [group] must declare 'params = ...' (possibly empty)")
     _stage_names_free(declared, [p.name for p in params])
-    for i in range(n):
-        for j in range(n):
-            if entries[i][j] is None:
-                raise ProblemFileError(f"group entry M {i + 1} {j + 1} missing")
+    entries = matrix("group", "M", M)
 
     membership = None
     if "membership" in sections:
@@ -222,6 +223,8 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
         try:
             if key == "max_loops":
                 policy.max_loops = int(value)
+                if policy.max_loops < 1:
+                    raise ProblemFileError(f"max_loops must be at least 1, got {policy.max_loops}", lineno)
             elif key == "seed":
                 policy.seed = int(value)
             elif key.startswith("target "):

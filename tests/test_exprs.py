@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cartaneq import Context, ParseError
 from cartaneq import exprs
@@ -265,7 +266,6 @@ def test_division_by_zero_is_structured(ctx):
         lambda: ctx.one / ctx.zero,
         lambda: ctx.zero ** -1,
         lambda: Expr._make(ctx, {0: Fraction(1)}, {}),
-        lambda: exprs._pdiv_exact({0: Fraction(1)}, {}),
     ):
         with pytest.raises(DivisionByZeroError) as err:
             divide()
@@ -314,17 +314,47 @@ def _small_polys(*specs):
     return ctx, [poly(s) for s in specs]
 
 
+def _ints(p):
+    """p times the lcm of its coefficient denominators: an integer polynomial."""
+    den = math.lcm(*(Fraction(c).denominator for c in p.values()))
+    return {m: int(c * den) for m, c in p.items()}
+
+
+def _monic(p):
+    """p scaled to the coefficient 1 at its largest monomial."""
+    c = p[max(p)]
+    return {m: exprs._qdiv(v, c) for m, v in p.items()}
+
+
+def _no_heuristic(mp):
+    """Make GCDHEU give up, so that every gcd, contents included, is the
+    subresultant PRS."""
+    mp.setattr(exprs, "_zz_heu_gcd", lambda f, g: None)
+
+
+def _prs_cofactors(p, q):
+    """``_gcd_cofactors`` with every gcd taken by the subresultant PRS."""
+    with pytest.MonkeyPatch.context() as mp:
+        _no_heuristic(mp)
+        return exprs._gcd_cofactors(p, q)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_SMALL_POLY, _SMALL_POLY, _SMALL_POLY)
 def test_pgcd_probe_agrees_with_full_euclid(g, a, b):
+    # the subresultant PRS with its "the gcd is 1" probe on and off
     _, (g, a, b) = _small_polys(g, a, b)
-    ga, gb = exprs._pmul(g, a), exprs._pmul(g, b)
-    probed = exprs._pgcd(ga, gb)
+    if not g or not a or not b:
+        return
+    g = _ints(g)
+    ga, gb = exprs._pmul(g, _ints(a)), exprs._pmul(g, _ints(b))
     with pytest.MonkeyPatch.context() as mp:
+        _no_heuristic(mp)
+        probed = exprs._pgcd(ga, gb)
         mp.setattr(exprs, "_gcd_probe_trivial", lambda a, b: False)
         assert exprs._pgcd(ga, gb) == probed
-    if g:
-        exprs._pdiv_exact(probed, g)  # raises unless g divides the gcd
+    assert exprs._zz_div(ga, probed) is not None and exprs._zz_div(gb, probed) is not None
+    assert exprs._zz_div(probed, g) is not None  # g divides the gcd
 
 
 @settings(max_examples=60, deadline=None)
@@ -334,14 +364,14 @@ def test_heuristic_gcd_agrees_with_euclid(g, a, b):
     ga, gb = exprs._pmul(g, a), exprs._pmul(g, b)
     if not ga or not gb:
         return
-    h, qa, qb = exprs._heu_gcd(ga, gb)
-    assert exprs._pmonic(h) == exprs._pgcd(ga, gb)
+    h, qa, qb = exprs._gcd_cofactors(ga, gb)
+    assert _monic(h) == _monic(_prs_cofactors(ga, gb)[0])
     assert exprs._pmul(h, qa) == ga and exprs._pmul(h, qb) == gb
-    # without the heuristic, _make takes the Euclid path to the same terms
-    # in the same order
+    # with GCDHEU giving up, _make takes the PRS to the same terms in the
+    # same order
     made = Expr._make(ctx, ga, gb)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exprs, "_heu_gcd", lambda p, q: None)
+        _no_heuristic(mp)
         exact = Expr._make(ctx, ga, gb)
     assert list(made._num.items()) == list(exact._num.items())
     assert list(made._den.items()) == list(exact._den.items())
@@ -352,10 +382,10 @@ def _items(polys):
 
 
 def _uncertified_gcd(p, q):
-    """``_heu_gcd`` without the private-atom certificate."""
+    """``_gcd_cofactors`` without the private-atom certificate."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exprs, "_private_coefficient_is_a_term", lambda p, private: False)
-        return exprs._heu_gcd(p, q)
+        return exprs._gcd_cofactors(p, q)
 
 
 # g in the shared atoms x, y, often a monomial; a adds the atom z that only
@@ -374,14 +404,11 @@ def test_private_atom_certificate_agrees_with_the_uncertified_gcd(g, a, b):
     p, q = exprs._pmul(g, a), exprs._pmul(g, b)
     if not p or not q:
         return
-    h, hp, hq = exprs._heu_gcd(p, q)
+    h, hp, hq = exprs._gcd_cofactors(p, q)
     assert exprs._pmul(h, hp) == p and exprs._pmul(h, hq) == q
-    full = _uncertified_gcd(p, q)
-    if full is None:
-        assert exprs._pmonic(h) == exprs._pgcd(p, q)
-    else:
-        # the same gcd and cofactors, term for term and in the same order
-        assert _items((h, hp, hq)) == _items(full)
+    assert _monic(h) == _monic(_prs_cofactors(p, q)[0])
+    # the same gcd and cofactors, term for term and in the same order
+    assert _items((h, hp, hq)) == _items(_uncertified_gcd(p, q))
 
 
 def _guard_bit(atom):
@@ -394,7 +421,7 @@ def test_private_atom_certificate_keeps_the_monomial_content(ctx):
     # gcd with q = x^2*(x + y) is the gcd x of the monomial contents x*y, x^2
     p, q = ctx.parse("x*y*(x*z + y + 1)")._num, ctx.parse("x^2*(x + y)")._num
     assert exprs._private_coefficient_is_a_term(p, _guard_bit(z))
-    got = exprs._heu_gcd(p, q)
+    got = exprs._gcd_cofactors(p, q)
     assert got[0] == {1 << x._shift: 1}
     assert got[1] == ctx.parse("y*(x*z + y + 1)")._num and got[2] == ctx.parse("x*(x + y)")._num
     assert _items(got) == _items(_uncertified_gcd(p, q))
@@ -407,8 +434,8 @@ def test_private_atom_certificate_leaves_two_term_coefficients_to_gcdheu(ctx):
     p, q = ctx.parse("(x + y)*(z + 1)")._num, ctx.parse("(x + y)*(x - y)")._num
     assert not exprs._private_coefficient_is_a_term(p, _guard_bit(z))
     assert not exprs._private_coefficient_is_a_term(q, 0)
-    h, hp, hq = exprs._heu_gcd(p, q)
-    assert exprs._pmonic(h) == ctx.parse("x + y")._num
+    h, hp, hq = exprs._gcd_cofactors(p, q)
+    assert _monic(h) == ctx.parse("x + y")._num
     assert hp == ctx.parse("z + 1")._num and hq == ctx.parse("x - y")._num
 
 
@@ -426,7 +453,7 @@ def test_exponents_above_255_stay_on_the_heuristic_gcd(ctx):
     # the heuristic works on the packed monomials, whose fields hold
     # exponents up to 2**15 - 1, not on bytes
     p, q = ctx.parse("x^256 + y")._num, ctx.parse("x + y")._num
-    assert exprs._heu_gcd(p, q) == ({0: 1}, p, q)
+    assert exprs._gcd_cofactors(p, q) == ({0: 1}, p, q)
     assert ctx.parse("(x^256*y - x*y)/(x^2*y + x*y)") == ctx.parse("(x^255 - 1)/(x + 1)")
 
 
@@ -496,7 +523,7 @@ def test_packed_monomials_agree_with_exponent_vectors(vectors):
     for m, c, e in ((a, 1, u[0]), (b, 2, v[0]))[:len(poly)]:
         want.setdefault(e, {})[m - (e << s)] = c
     assert univar == want
-    assert exprs._from_univar(univar, s) == poly
+    assert {m + (e << s): c for e, coeff in univar.items() for m, c in coeff.items()} == poly
 
 
 def test_canonical_form_does_not_depend_on_atom_creation_order():
@@ -529,10 +556,10 @@ def test_canonical_form_does_not_depend_on_atom_creation_order():
 
 
 def test_make_orders_terms_as_exact_division_does(ctx):
-    # _make emits the terms of a cancelled quotient in the order _pdiv_exact
-    # gives them: descending in the integer order of monomials, where the
-    # field of the atom made last (here z, then y, then x) is the most
-    # significant.  No output depends on it: sampled points bind atoms in
+    # _make emits the terms of a cancelled quotient in the order exact
+    # division (_zz_div) gives them: descending in the integer order of
+    # monomials, where the field of the atom made last (here z, then y,
+    # then x) is the most significant.  No output depends on it: sampled points bind atoms in
     # sort-key order, and tests/test_problems_cli.py permutes term order.
     def poly(*terms):
         return {ctx.parse(t)._num.popitem()[0]: Fraction(c) for t, c in terms}
@@ -542,13 +569,13 @@ def test_make_orders_terms_as_exact_division_does(ctx):
         return keys == sorted(keys, reverse=True)
 
     # a polynomial gcd, x - z: the cofactors x + y^2 + 1 and y + 2 come out
-    # in descending order, y^2 before x, as _pdiv_exact gives them
+    # in descending order, y^2 before x, as _zz_div gives them
     x_z = poly(("z", -1), ("x", 1))
     num = exprs._pmul(poly(("1", 1), ("x", 1), ("y^2", 1)), x_z)
     den = exprs._pmul(poly(("1", 2), ("y", 1)), x_z)
     e = Expr._make(ctx, num, den)
     assert e == ctx.parse("(x + y^2 + 1)/(y + 2)")
-    assert list(e._num) == list(poly(("y^2", 1), ("x", 1), ("1", 1))) == list(exprs._pdiv_exact(num, x_z))
+    assert list(e._num) == list(poly(("y^2", 1), ("x", 1), ("1", 1))) == list(exprs._zz_div(num, x_z))
     assert descending(e._num) and descending(e._den)
     # a monomial gcd, x: x*z + x^2*y over x*y or over x*y + x
     for den in (poly(("x*y", 1)), poly(("x", 1), ("x*y", 1))):
@@ -700,7 +727,7 @@ def test_operators_take_only_the_cross_gcds(ctx, monkeypatch):
     pairs.clear()
     assert u + w == total
     assert len(pairs) == 2 and pairs[0] == (b, w._den)
-    assert exprs._pmonic(pairs[1][1]) == exprs._pmonic(other._num)
+    assert _monic(pairs[1][1]) == _monic(other._num)
 
 
 # exponents of x, y and f(x, y)
@@ -734,6 +761,54 @@ def _full_route(op, u, v, k):
 @settings(max_examples=80, deadline=None)
 @given(op=st.sampled_from(["+", "-", "*", "/", "**"]), shared=st.tuples(_FACTOR, _FACTOR),
        left=_OPERAND, right=_OPERAND, k=st.integers(-2, 3))
+# Draws on which the exact gcd before the subresultant PRS, a primitive PRS on
+# rational polynomials with a content per step, ran for minutes: in the
+# forced exact route, or in the coprimality check of the heuristic variant.
+@example(  # --hypothesis-seed=9
+    op="*", k=3,
+    shared=({(1, 1, 1): Fraction(-1, 2), (0, 1, 0): Fraction(-2), (1, 0, 0): Fraction(-2)},
+            {(2, 1, 0): Fraction(1, 3), (0, 1, 0): Fraction(-1), (2, 0, 1): Fraction(5, 3)}),
+    left=({(0, 0, 1): Fraction(-1, 3), (1, 1, 1): Fraction(-1), (0, 1, 1): Fraction(1, 2)},
+          {(0, 1, 0): Fraction(5, 3), (1, 0, 0): Fraction(-1), (0, 0, 0): Fraction(3)}, 2, 1, 0, 0),
+    right=({(1, 1, 0): Fraction(-1, 3), (0, 0, 0): Fraction(1)},
+           {(0, 0, 0): Fraction(-1), (2, 0, 1): Fraction(-3), (2, 1, 0): Fraction(-5, 2)}, 1, 0, 0, 2),
+)
+@example(  # --hypothesis-seed=34
+    op="/", k=1,
+    shared=({(1, 0, 0): Fraction(1), (0, 0, 1): Fraction(1, 3), (2, 1, 0): Fraction(-2)},
+            {(1, 1, 1): Fraction(-3), (0, 1, 0): Fraction(1)}),
+    left=({(2, 1, 0): Fraction(-1, 3)},
+          {(0, 1, 0): Fraction(1), (1, 0, 1): Fraction(-1), (1, 1, 1): Fraction(-5, 2)}, 2, 0, 0, 0),
+    right=({(1, 1, 1): Fraction(-1), (2, 0, 1): Fraction(-2, 3), (0, 1, 0): Fraction(-1, 2)},
+           {(2, 1, 1): Fraction(8, 3)}, 0, 0, 1, 2),
+)
+@example(  # --hypothesis-seed=40
+    op="/", k=0,
+    shared=({(1, 1, 1): Fraction(-2), (0, 0, 0): Fraction(2, 3), (1, 0, 0): Fraction(-1)},
+            {(1, 0, 0): Fraction(-3), (0, 0, 0): Fraction(3)}),
+    left=({(0, 1, 1): Fraction(-3, 2), (1, 0, 1): Fraction(-2), (2, 0, 0): Fraction(1)},
+          {(1, 1, 0): Fraction(-2)}, 1, 2, 0, 0),
+    right=({(2, 0, 0): Fraction(-5, 3), (0, 0, 0): Fraction(1, 2)},
+           {(1, 0, 0): Fraction(2)}, 2, 0, 0, 2),
+)
+@example(  # --hypothesis-seed=41
+    op="+", k=1,
+    shared=({(2, 1, 1): Fraction(-2)},
+            {(1, 1, 1): Fraction(-1)}),
+    left=({(0, 0, 1): Fraction(-7, 3), (0, 0, 0): Fraction(1)},
+          {(0, 1, 0): Fraction(-1), (0, 0, 0): Fraction(2), (2, 1, 1): Fraction(-1)}, 1, 0, 0, 1),
+    right=({(1, 1, 0): Fraction(-3), (0, 0, 0): Fraction(1), (1, 0, 1): Fraction(-3)},
+           {(2, 0, 1): Fraction(-8, 3), (0, 1, 0): Fraction(1), (1, 1, 1): Fraction(-2)}, 0, 0, 1, 0),
+)
+@example(  # --hypothesis-seed=49
+    op="*", k=0,
+    shared=({(2, 1, 1): Fraction(3), (0, 1, 1): Fraction(-3)},
+            {(2, 0, 0): Fraction(-1)}),
+    left=({(2, 0, 0): Fraction(-2)},
+          {(2, 0, 0): Fraction(-1), (0, 1, 1): Fraction(-1, 2), (1, 1, 0): Fraction(-3)}, 2, 0, 1, 2),
+    right=({(1, 0, 0): Fraction(-3), (0, 1, 1): Fraction(-3), (2, 1, 0): Fraction(-1)},
+           {(0, 0, 0): Fraction(2), (0, 1, 1): Fraction(-3), (2, 0, 0): Fraction(-3)}, 1, 0, 1, 1),
+)
 def test_operators_agree_with_the_full_product_route(gcd, op, shared, left, right, k):
     ctx = Context()
     x, y = ctx.declare_symbols(["x", "y"], "coordinate")
@@ -760,15 +835,14 @@ def test_operators_agree_with_the_full_product_route(gcd, op, shared, left, righ
     if u is None or v is None or (op == "/" and not v) or (op == "**" and k < 0 and not u):
         return
     with pytest.MonkeyPatch.context() as mp:
-        if gcd == "exact":  # the fallback that the gcd takes when the heuristic gives up
-            mp.setattr(exprs, "_heu_gcd", lambda p, q: None)
+        if gcd == "exact":  # the route that the gcd takes when GCDHEU gives up
+            _no_heuristic(mp)
         got = {"+": u.__add__, "-": u.__sub__, "*": u.__mul__, "/": u.__truediv__, "**": lambda _: u ** k}[op](v)
-    # the canonical form is unique, so the oracle may take either gcd; the
-    # exact Euclid can take minutes on the full products
+    # the canonical form is unique, so the oracle may take either gcd
     want = _full_route(op, u, v, k)
     assert got == want
     assert (str(got), hash(got)) == (str(want), hash(want))
-    assert exprs._pgcd(got._num, got._den) == {0: 1}
+    assert _prs_cofactors(got._num, got._den)[0] == {0: 1}
     assert ctx._lead(got._den)[1] == 1
 
 
@@ -802,8 +876,8 @@ def test_coefficients_are_ints_or_fractions_with_a_denominator(gcd, steps):
     f = ctx.declare_opaque("f", ["x", "y"])
     values = [ctx.expr(x), ctx.apply(f, [x, y]), ctx.expr(Fraction(4, 2)), ctx.parse("2*x + 3*y"), ctx.parse("x/2 - 2/3*y")]
     with pytest.MonkeyPatch.context() as mp:
-        if gcd == "exact":  # the fallback that _make takes when the heuristic gives up
-            mp.setattr(exprs, "_heu_gcd", lambda p, q: None)
+        if gcd == "exact":  # the route that _make takes when GCDHEU gives up
+            _no_heuristic(mp)
         for op, i, j, c, k in steps:
             a, b = values[i % len(values)], values[j % len(values)]
             try:

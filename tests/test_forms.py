@@ -120,12 +120,21 @@ def test_d_squared_zero_randomized():
 
 
 def test_structure_functions_of_random_coordinate_coframes():
+    # an exact coframe eta = d phi, the Jacobian of a random polynomial map
+    # phi, is closed, so every structure function vanishes
     rng = random.Random(6)
+    checked = 0
     for _ in range(10):
         ctx = Context()
-        coords = ctx.declare_symbols(["x", "y"], "coordinate")
-        cc = coordinate_coframe(Chart(ctx, coords))
-        assert all(e.is_zero() for e in structure_functions(cc).values())
+        coords = ctx.declare_symbols(["x", "y", "z"], "coordinate")
+        atoms = [ctx.expr(c) for c in coords]
+        phi = [random_poly_expr(ctx, rng, atoms, terms=4, deg=3) for _ in coords]
+        eta = Coframe(Chart(ctx, coords), [[f.diff(x) for x in coords] for f in phi])
+        if eta.det().is_zero():  # phi is not a local diffeomorphism
+            continue
+        checked += 1
+        assert all(e.is_zero() for e in structure_functions(eta).values())
+    assert checked >= 5
 
 
 def test_rewrite_round_trip_randomized():

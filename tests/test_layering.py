@@ -260,10 +260,9 @@ def test_unread_parameter_guard(tmp_path):
 # on the inputs of the ``command_sweep`` fixture; a listed function that a
 # command enters fails the guard, so the list stays exact.
 GCD_FALLBACK = (
-    "exact gcd behind GCDHEU, the complete path when _heu_gcd gives up (six failed "
-    "evaluation points); tests force it; the benchmark's "
-    "tracer binds _pgcd and _gcd_probe_trivial; ROADMAP item 5 removes it with a "
-    "complete replacement and a benchmark change"
+    "subresultant PRS behind GCDHEU and its gcd-triviality probe, the exact path "
+    "when _zz_heu_gcd gives up (six failed evaluation points); tests force it; the "
+    "benchmark's tracer binds _pgcd and _gcd_probe_trivial"
 )
 FORM_API = (
     "the reference route that inverts the target coframe, which tests/test_engine.py "
@@ -280,9 +279,8 @@ REPR = "debugging repr; no output prints it"
 NEVER_ENTERED = {
     **dict.fromkeys(
         (
-            "exprs._pmonic", "exprs._pdiv_exact", "exprs._from_univar",
-            "exprs._u_content", "exprs._u_primitive", "exprs._u_scale", "exprs._u_sub", "exprs._prem",
-            "exprs._dense_mod", "exprs._gf_gcd_degree", "exprs._gcd_probe_trivial", "exprs._pgcd",
+            "exprs._zz_content", "exprs._zz_prem", "exprs._pgcd",
+            "exprs._dense_mod", "exprs._gf_gcd_degree", "exprs._gcd_probe_trivial",
         ),
         GCD_FALLBACK,
     ),

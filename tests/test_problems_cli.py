@@ -185,7 +185,7 @@ def test_cli_run_exit_codes(tmp_path):
     assert main(["run", str(PROBLEMS / "flat_gl2.prob")]) == 0
     assert main(["run", str(PROBLEMS / "toy_diag.prob")]) == 0
     assert main(["run", str(PROBLEMS / "toy_genuine.prob")]) == 2
-    assert main(["run", str(PROBLEMS / "toy_diag.prob"), "--max-loops", "0"]) == 3
+    assert main(["run", str(PROBLEMS / "toy_diag.prob"), "--max-loops", "1"]) == 3
     assert main(["run", str(tmp_path / "missing.prob")]) == 1
 
 
@@ -196,6 +196,23 @@ def test_usage_errors_exit_1_not_the_violation_code(capsys):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.count("error:") == 1, argv
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_a_loop_cap_below_1_is_refused(cap, tmp_path, capsys):
+    # a cap below 1 runs no loop, so the run could only end cap-exceeded
+    toy = PROBLEMS / "toy_diag.prob"
+    assert main(["run", str(toy), "--max-loops", cap]) == 1
+    assert capsys.readouterr().err.count("error:") == 1
+    lines = toy.read_text().splitlines()
+    at = lines.index("max_loops = 6")
+    lines[at] = f"max_loops = {cap}"
+    path = tmp_path / "cap.prob"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProblemFileError, match="max_loops must be at least 1") as err:
+        parse_problem_text(path.read_text())
+    assert err.value.line == at + 1
+    assert main(["check", str(path)]) == 1
 
 
 @pytest.mark.parametrize(
