@@ -351,18 +351,15 @@ def _as_univar(p: Poly, s: int) -> dict[int, Poly]:
 _P = (1 << 61) - 1
 
 
-def _dense_mod(u: dict[int, Poly], point: dict) -> list[int] | None:
-    """u with its coefficient atoms bound to ``point`` (by field shift), as a
-    dense list mod _P (constant term first); None when _P divides a
-    coefficient denominator."""
+def _dense_mod(u: dict[int, dict], point: dict) -> list[int]:
+    """The integer univariate form u with its coefficient atoms bound to
+    ``point`` (by field shift), as a dense list mod _P (constant term
+    first)."""
     out = [0] * (max(u) + 1)
     for d, coeff in u.items():
         total = 0
         for m, c in coeff.items():
-            den = c.denominator
-            if den % _P == 0:
-                return None
-            val = c.numerator if den == 1 else c.numerator * pow(den, -1, _P)
+            val = c
             for s, e in _exponents(m):
                 val = val * pow(point[s], e, _P) % _P
             total += val
@@ -387,14 +384,15 @@ def _gf_gcd_degree(a: list[int], b: list[int]) -> int:
     return len(a) - 1
 
 
-def _gcd_probe_trivial(a: dict[int, Poly], b: dict[int, Poly]) -> bool:
-    """Sound probe: True when the gcd of the univariate forms ``a`` and ``b``
-    (both of positive degree in their variable) certainly has degree 0.
+def _gcd_probe_trivial(a: dict[int, dict], b: dict[int, dict]) -> bool:
+    """Sound probe: True when the gcd of the integer univariate forms ``a``
+    and ``b`` (both of positive degree in their variable) certainly has
+    degree 0.
 
     Binds the coefficient atoms, in field order, to integers mod _P and
     decides at the first point where both leading coefficients survive.
     There a nontrivial gcd maps to a common divisor of the same degree, so a
-    degree-0 gcd mod _P proves the rational gcd trivial.  An unlucky prime
+    degree-0 gcd mod _P proves that the gcd has degree 0.  An unlucky prime
     or point only answers False, which sends the caller through the whole
     pseudo-remainder sequence."""
     others = sorted(s for s, _ in _exponents(reduce(or_, chain(*a.values(), *b.values()), 0)))
