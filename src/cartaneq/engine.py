@@ -489,9 +489,16 @@ def prolong(
 
 @dataclass
 class Policy:
+    """Run settings; a loop cap below 1 is refused whenever it is set."""
+
     max_loops: int = 10
     seed: int = 0
     target_overrides: dict[str, Fraction] = field(default_factory=dict)
+
+    def __setattr__(self, name, value):
+        if name == "max_loops" and value < 1:
+            raise EngineError(f"max_loops must be at least 1, got {value}")
+        super().__setattr__(name, value)
 
 
 def _choose_targets(

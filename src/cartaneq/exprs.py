@@ -400,8 +400,6 @@ def _gcd_probe_trivial(a: dict[int, dict], b: dict[int, dict]) -> bool:
         point = {s: shiftbase + 3 * i for i, s in enumerate(others)}
         ae = _dense_mod(a, point)
         be = _dense_mod(b, point)
-        if ae is None or be is None:
-            return False
         if ae[-1] and be[-1]:
             return _gf_gcd_degree(ae, be) == 0
     return False
@@ -1230,14 +1228,15 @@ class Expr:
             exponent bits are ``fields``, replaced by their images."""
             if not reduce(or_, poly, 0) & fields:
                 return poly, {0: _ONE}
-            terms = []
+            # one term per distinct monomial in the moved atoms, so each
+            # product of images is multiplied out once
+            rests: dict[int, Poly] = {}
             for m, c in poly.items():
-                factors = []
-                for s, img in moved:
-                    e = m >> s & 0xFFFF
-                    if e:
-                        factors.append((img, e))
-                terms.append(({m & ~fields: c}, factors))
+                rests.setdefault(m & fields, {})[m & ~fields] = c
+            terms = []
+            for mm, rest in rests.items():
+                factors = [(img, e) for s, img in moved if (e := mm >> s & 0xFFFF)]
+                terms.append((rest, factors))
             return _fraction_sum(terms)
 
         def sub_expr(e: Expr) -> Expr:

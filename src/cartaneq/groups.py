@@ -41,6 +41,11 @@ class GroupError(ExprError):
 # pairs of group elements whose product ``check_closure`` tests
 _CLOSURE_SAMPLES = 4
 
+_NOT_CONSTANT = (
+    "entry {} of dg g^-1 is not a constant combination of the basis; "
+    "the parametrization is not a matrix group"
+)
+
 
 def slot_names(n: int) -> list[list[str]]:
     """Names g11..gnn of the matrix-slot symbols."""
@@ -201,66 +206,91 @@ def right_mc(g: ParamGroup) -> MCBasis:
     entry whose restriction to the identity is exactly that parameter's
     differential; then complete with the remaining row-major entries that are
     independent over the function field.
+
+    Requires g(e) = I at the identity values, as ``ParamGroup.validate``
+    checks, so dg g^{-1} at the identity is dg(e).  When every basis entry is
+    a unit row there, alpha(e) = I, and an entry w is a constant combination
+    f . alpha exactly when w = w(e) . alpha: F is read at the identity and
+    each entry is checked exactly.  Otherwise F = W alpha^{-1}, checked to be
+    constant.
     """
     ctx = g.ctx
     inv = group_inverse(g)
     order = [(i, j) for i in range(g.n) for j in range(g.n)]
     if g.r == 0:
         return MCBasis(g, [], [], {s: [] for s in order}, {s: () for s in order}, inv)
-    # dg g^{-1} = sum_a (dg/da) g^{-1} da: one product per parameter
-    mc = [mat_mul([[e.diff(a) for e in row] for row in g.entries], inv) for a in g.params]
-    coeff_rows = {(i, j): [m[i][j] for m in mc] for i, j in order}
-    ident_rows: dict[tuple[int, int], list[Fraction]] = {}
+    dg = [[[e.diff(a) for e in row] for row in g.entries] for a in g.params]
+    ident_rows: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     id_binds = {s: ctx.expr(v) for s, v in g.identity_values.items()}
-    for slot, vec in coeff_rows.items():
-        ident = [e.subs(id_binds).as_fraction() for e in vec]
+    for i, j in order:
+        ident = tuple(d[i][j].subs(id_binds).as_fraction() for d in dg)
         if None in ident:
             raise GroupError("entries must be expressions in the group parameters only")
-        ident_rows[slot] = ident
+        ident_rows[(i, j)] = ident
+    # dg g^{-1} = sum_a (dg/da) g^{-1} da: one product per parameter
+    mc = [mat_mul(d, inv) for d in dg]
+    coeff_rows = {(i, j): [m[i][j] for m in mc] for i, j in order}
     chosen: list[tuple[int, int] | None] = [None] * g.r
     taken: set[tuple[int, int]] = set()
     for k in range(g.r):
-        unit = [Fraction(1 if t == k else 0) for t in range(g.r)]
+        unit = tuple(Fraction(1 if t == k else 0) for t in range(g.r))
         for slot in order:
             if slot not in taken and ident_rows[slot] == unit:
                 chosen[k] = slot
                 taken.add(slot)
                 break
-    # the identity unit rows are independent, so a slot is independent of the
-    # chosen ones exactly when it grows the rank of their echelon basis
-    basis = extend_echelon([], [coeff_rows[s] for s in chosen if s is not None])
-    for k in range(g.r):
-        if chosen[k] is not None:
-            continue
-        for slot in order:
-            if slot in taken:
+    unit_basis = None not in chosen
+    if not unit_basis:
+        # the identity unit rows are independent, so a slot is independent of
+        # the chosen ones exactly when it grows the rank of their echelon basis
+        basis = extend_echelon([], [coeff_rows[s] for s in chosen if s is not None])
+        for k in range(g.r):
+            if chosen[k] is not None:
                 continue
-            grown = extend_echelon(basis, [coeff_rows[slot]])
-            if len(grown) > len(basis):
-                chosen[k] = slot
-                taken.add(slot)
-                basis = grown
-                break
-        if chosen[k] is None:
-            raise GroupError("fewer independent Maurer-Cartan entries than group parameters")
+            for slot in order:
+                if slot in taken:
+                    continue
+                grown = extend_echelon(basis, [coeff_rows[slot]])
+                if len(grown) > len(basis):
+                    chosen[k] = slot
+                    taken.add(slot)
+                    basis = grown
+                    break
+            if chosen[k] is None:
+                raise GroupError("fewer independent Maurer-Cartan entries than group parameters")
 
     slots = [s for s in chosen if s is not None]
     alpha_coeffs = [coeff_rows[s] for s in slots]
+    F: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    if unit_basis:
+        for slot in order:
+            if _combination(ctx, ident_rows[slot], alpha_coeffs) != coeff_rows[slot]:
+                raise GroupError(_NOT_CONSTANT.format(slot))
+            F[slot] = ident_rows[slot]
+        return MCBasis(g, slots, alpha_coeffs, coeff_rows, F, inv)
 
     # Every entry w = f . alpha in the basis: F = W alpha^{-1}, checked exactly.
     W = [coeff_rows[slot] for slot in order]
-    F: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for slot, row in zip(order, mat_mul(W, mat_inverse(alpha_coeffs))):
         fs = tuple(e.as_fraction() for e in row)
         if None in fs:
-            raise GroupError(
-                f"entry {slot} of dg g^-1 is not a constant combination of the basis; "
-                "the parametrization is not a matrix group"
-            )
+            raise GroupError(_NOT_CONSTANT.format(slot))
         F[slot] = fs
-    if mat_mul([[ctx.expr(f) for f in F[slot]] for slot in order], alpha_coeffs) != W:
+    if any(_combination(ctx, F[slot], alpha_coeffs) != coeff_rows[slot] for slot in order):
         raise GroupError("Maurer-Cartan reconstruction failed")
     return MCBasis(g, slots, alpha_coeffs, coeff_rows, F, inv)
+
+
+def _combination(ctx: Context, fs: Sequence[Fraction], rows: list[list[Expr]]) -> list[Expr]:
+    """sum_k fs[k] rows[k]; a unit ``fs`` gives its row as it is."""
+    nonzero = [k for k, f in enumerate(fs) if f]
+    if len(nonzero) == 1 and fs[nonzero[0]] == 1:
+        return rows[nonzero[0]]
+    out = [ctx.zero] * len(rows[0])
+    for k in nonzero:
+        c = ctx.expr(fs[k])
+        out = [o + c * a for o, a in zip(out, rows[k])]
+    return out
 
 
 def check_closure(g: ParamGroup, rng: random.Random) -> tuple[bool, list[str]]:

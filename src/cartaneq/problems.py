@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from .engine import GStructureProblem, Policy, target_name
+from .engine import EngineError, GStructureProblem, Policy, target_name
 from .exprs import Context, ExprError
 from .forms import Chart, Coframe
 from .groups import ParamGroup, check_closure, slot_names, slot_symbols
@@ -223,8 +223,6 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
         try:
             if key == "max_loops":
                 policy.max_loops = int(value)
-                if policy.max_loops < 1:
-                    raise ProblemFileError(f"max_loops must be at least 1, got {policy.max_loops}", lineno)
             elif key == "seed":
                 policy.seed = int(value)
             elif key.startswith("target "):
@@ -234,6 +232,8 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
                 raise ProblemFileError(f"unrecognized policy line {line!r}", lineno)
         except (ValueError, ZeroDivisionError):
             raise ProblemFileError(f"bad policy value {value!r} for {key}", lineno) from None
+        except EngineError as exc:
+            raise ProblemFileError(str(exc), lineno) from None
 
     group = ParamGroup(ctx, n, tuple(params), entries, identity, membership)
     problem = GStructureProblem(ctx, chart, coframe, group, title=title)

@@ -386,6 +386,21 @@ def test_prolonged_group_abelian():
         assert prod == direct
 
 
+def test_prolonged_group_is_the_identity_at_its_identity_values():
+    # right_mc reads the Maurer-Cartan constants at the identity, so it
+    # relies on g(e) = I for the prolonged groups too
+    with_v = 0
+    for p in [corpus_problem(name) for name in CORPUS] + [drawn_problem(seed) for seed in range(10)]:
+        sol = solve_absorption(build_absorption(p, compute_structure_data(p)))
+        g2 = prolonged_group(p, sol)
+        ident = g2.at(g2.identity_values)
+        assert [[e.as_fraction() for e in row] for row in ident] == [
+            [int(i == j) for j in range(g2.n)] for i in range(g2.n)
+        ]
+        with_v += any(e.free_symbols for row in g2.entries for e in row)
+    assert with_v >= 10
+
+
 # sha256 of the prolonged coframe transition followed by the prolonged group
 # entries, one printed entry a line, row by row.  Every first loop with r2 > 0
 # here passes Cartan's test, so no command builds these prolonged groups with
@@ -449,8 +464,19 @@ def test_run_loop_prolongs_scaling_to_e_structure():
 
 
 def test_run_loop_cap():
-    res = run_loop(corpus_problem("lagrangian"), Policy(max_loops=0, seed=0))
+    res = run_loop(corpus_problem("lagrangian"), Policy(max_loops=1, seed=0))
     assert res.outcome == "cap-exceeded"
+    assert len(res.loops) == 1
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_policy_refuses_a_loop_cap_below_1(cap):
+    with pytest.raises(EngineError, match=f"^max_loops must be at least 1, got {cap}$"):
+        Policy(max_loops=cap)
+    policy = Policy()
+    with pytest.raises(EngineError, match=f"^max_loops must be at least 1, got {cap}$"):
+        policy.max_loops = cap
+    assert policy.max_loops == 10
 
 
 def test_character_report_fields_every_loop():

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cartaneq import Context
+from cartaneq import Context, engine, groups
+from cartaneq.engine import Policy, run_loop
+from cartaneq.exprs import ExprError
 from cartaneq.groups import (
     GroupError,
     ParamGroup,
@@ -16,8 +18,9 @@ from cartaneq.groups import (
     solve_linear_in,
     solve_power_in,
 )
+from cartaneq.linalg import mat_inverse, mat_mul, symbolic_rank
 
-from genutil import ScriptedRng, corpus_problem, drawn_problem
+from genutil import ScriptedRng, corpus_problem, drawn_problem, problem_from_text, recorded_calls
 
 
 def diag_recip_group():
@@ -124,8 +127,118 @@ def test_f_constancy_rejects_non_groups():
         [[1 + ctx.sym("a"), ctx.zero], [ctx.sym("a") * ctx.sym("b"), 1 + ctx.sym("b")]],
         {a: 0, b: 0},
     )
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match=r"^entry \(1, 0\) of dg g\^-1 is not a constant combination of the basis; "
+                       "the parametrization is not a matrix group$"):
         right_mc(g)
+
+
+def test_right_mc_refuses_an_entry_in_a_coordinate():
+    ctx = Context()
+    (a,) = ctx.declare_symbols(["a"], "group-parameter")
+    (x,) = ctx.declare_symbols(["x"], "coordinate")
+    # g(e) = 1 for every x, but dg(e) = x da is no constant row
+    g = ParamGroup(ctx, 1, (a,), [[1 + ctx.sym("x") * ctx.sym("a")]], {a: 0})
+    with pytest.raises(GroupError, match="^entries must be expressions in the group parameters only$"):
+        right_mc(g)
+
+
+def test_right_mc_refuses_too_few_independent_entries():
+    ctx = Context()
+    a, b = ctx.declare_symbols(["a", "b"], "group-parameter")
+    # dg g^-1 = diag(da/a + db/b, 0): one independent entry for two parameters
+    g = ParamGroup(
+        ctx, 2, (a, b), [[ctx.sym("a") * ctx.sym("b"), ctx.zero], [ctx.zero, ctx.one]], {a: 1, b: 1}
+    )
+    with pytest.raises(GroupError, match="^fewer independent Maurer-Cartan entries than group parameters$"):
+        right_mc(g)
+
+
+def _reference_mc(g):
+    """Slots, alpha and F by the W alpha^-1 route: the entries of dg g^-1 at
+    the identity for the unit slots, symbolic rank for the rest, and F the
+    rows of W alpha^-1, each of them constant."""
+    ctx = g.ctx
+    order = [(i, j) for i in range(g.n) for j in range(g.n)]
+    if g.r == 0:
+        return [], [], {s: () for s in order}
+    inv = mat_inverse(g.entries)
+    mc = [mat_mul([[e.diff(a) for e in row] for row in g.entries], inv) for a in g.params]
+    W = {(i, j): [m[i][j] for m in mc] for i, j in order}
+    binds = {s: ctx.expr(v) for s, v in g.identity_values.items()}
+    at_e = {s: [e.subs(binds).as_fraction() for e in w] for s, w in W.items()}
+    chosen = [
+        next((s for s in order if at_e[s] == [int(t == k) for t in range(g.r)]), None) for k in range(g.r)
+    ]
+    for k in range(g.r):
+        if chosen[k] is None:
+            rows = [W[s] for s in chosen if s is not None]
+            chosen[k] = next(
+                s for s in order if s not in chosen and symbolic_rank(rows + [W[s]]) > len(rows)
+            )
+    alpha = [W[s] for s in chosen]
+    F = {}
+    for s, row in zip(order, mat_mul([W[s] for s in order], mat_inverse(alpha))):
+        F[s] = tuple(e.as_fraction() for e in row)
+        assert None not in F[s]
+    return chosen, alpha, F
+
+
+SO2_CAYLEY = """\
+[coordinates]
+names = x, y
+
+[coframe]
+A 1 1 = 1
+A 1 2 = 0
+A 2 1 = 0
+A 2 2 = 1
+
+[group]
+params = t
+M 1 1 = (1 - t^2)/(1 + t^2)
+M 1 2 = -2*t/(1 + t^2)
+M 2 1 = 2*t/(1 + t^2)
+M 2 2 = (1 - t^2)/(1 + t^2)
+identity t = 0
+
+[membership]
+eq = g11 - g22
+eq = g12 + g21
+eq = g11^2 + g21^2 - 1
+"""
+
+
+def test_right_mc_agrees_with_the_inverse_route(monkeypatch):
+    # every group the engine's runs see: the problem groups, their reductions
+    # and their prolongations, on the corpus and draws 0..49
+    seen = recorded_calls(monkeypatch, engine, "right_mc", lambda g: g)
+    problems = [corpus_problem(name) for name in ("flat_gl2", "flat_identity", "lagrangian", "toy_diag", "toy_genuine")]
+    for problem in problems + [drawn_problem(seed) for seed in range(50)]:
+        try:
+            run_loop(problem, Policy(seed=0))
+        except ExprError:
+            pass  # the groups seen before the failure are still compared
+    # the Cayley transform of SO(2) has dg(e) = [[0, -2], [2, 0]]: no unit
+    # row at the identity, so alpha(e) != I and F comes from W alpha^-1
+    so2 = problem_from_text(SO2_CAYLEY).group
+    assert len(seen) > len(problems) + 50
+    for g in seen + [so2]:
+        mc = right_mc(g)
+        slots, alpha, F = _reference_mc(g)
+        assert mc.slots == slots
+        assert mc.alpha_coeffs == alpha
+        assert mc.F == F
+    mc = right_mc(so2)
+    assert mc.slots == [(0, 1)] and mc.F[(1, 0)] == (-1,) and mc.F[(0, 0)] == (0,)
+    assert mc.alpha_coeffs[0][0].subs({so2.params[0]: 0}) == -2
+
+
+def test_right_mc_of_a_unit_row_group_inverts_only_the_group(monkeypatch):
+    inversions = recorded_calls(monkeypatch, groups, "mat_inverse")
+    for g in (corpus_problem("lagrangian").group, drawn_problem(0).group):
+        before = len(inversions)
+        right_mc(g)
+        assert len(inversions) == before + 1
 
 
 def test_check_closure():
