@@ -10,13 +10,12 @@ not assumed.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exprs import Context, Expr, ExprError, Symbol
-from .linalg import SingularMatrixError, extend_echelon, generic_points, mat_det, mat_inverse, mat_mul
+from .linalg import SingularMatrixError, extend_echelon, mat_inverse, mat_mul
 
 __all__ = [
     "GroupError",
@@ -37,9 +36,6 @@ __all__ = [
 class GroupError(ExprError):
     pass
 
-
-# pairs of group elements whose product ``check_closure`` tests
-_CLOSURE_SAMPLES = 4
 
 _NOT_CONSTANT = (
     "entry {} of dg g^-1 is not a constant combination of the basis; "
@@ -148,15 +144,10 @@ class ParamGroup:
                     raise GroupError(
                         f"identity values do not give the identity matrix at slot ({i + 1},{j + 1})"
                     )
-        if mat_det(self.entries).is_zero():
-            raise GroupError("group parametrization has identically zero determinant")
 
     def at(self, values) -> list[list[Expr]]:
         binds = {s: self.ctx.expr(v) for s, v in values.items()}
         return [[e.subs(binds) for e in row] for row in self.entries]
-
-    def at_numeric(self, values: dict[Symbol, Fraction]) -> list[list[Fraction]]:
-        return [[e.eval_at(values) for e in row] for row in self.entries]
 
     def with_params(self, new_params: Sequence[Symbol]) -> "ParamGroup":
         """The same parametrization written in fresh parameter symbols."""
@@ -202,17 +193,18 @@ def group_inverse(g: ParamGroup) -> list[list[Expr]]:
 def right_mc(g: ParamGroup) -> MCBasis:
     """Right Maurer-Cartan matrix dg g^{-1} and a deterministic entry basis.
 
-    Basis rule: first, for each parameter in order, take the first row-major
-    entry whose restriction to the identity is exactly that parameter's
-    differential; then complete with the remaining row-major entries that are
-    independent over the function field.
-
     Requires g(e) = I at the identity values, as ``ParamGroup.validate``
-    checks, so dg g^{-1} at the identity is dg(e).  When every basis entry is
-    a unit row there, alpha(e) = I, and an entry w is a constant combination
-    f . alpha exactly when w = w(e) . alpha: F is read at the identity and
-    each entry is checked exactly.  Otherwise F = W alpha^{-1}, checked to be
-    constant.
+    checks, so dg g^{-1} at the identity is dg(e), a rational matrix whose
+    rows are the entries' coefficients against da_1..da_r.  Basis rule: first,
+    for each parameter in order, take the first row-major entry whose row is
+    that parameter's unit row; then complete with the remaining row-major
+    entries whose rows are independent over the rationals.  A group whose
+    dg(e) has rank below r is refused: its parameters are no coordinates at
+    the identity.
+
+    With E = alpha(e) the rows of the basis entries, an entry w is a constant
+    combination f . alpha exactly when f = w(e) E^{-1} and w = f . alpha, so
+    F is read at the identity and each entry is checked exactly.
     """
     ctx = g.ctx
     inv = group_inverse(g)
@@ -227,57 +219,31 @@ def right_mc(g: ParamGroup) -> MCBasis:
         if None in ident:
             raise GroupError("entries must be expressions in the group parameters only")
         ident_rows[(i, j)] = ident
+    units = [tuple(Fraction(1 if t == k else 0) for t in range(g.r)) for k in range(g.r)]
+    slots = [next((s for s in order if ident_rows[s] == unit), None) for unit in units]
+    basis = extend_echelon([], [ident_rows[s] for s in slots if s is not None])
+    for k in range(g.r):
+        if slots[k] is not None:
+            continue
+        for slot in order:
+            # a chosen slot's row is in the span, so it never grows the rank
+            grown = extend_echelon(basis, [ident_rows[slot]])
+            if len(grown) > len(basis):
+                slots[k], basis = slot, grown
+                break
+        else:
+            raise GroupError("fewer independent Maurer-Cartan entries than group parameters")
+
     # dg g^{-1} = sum_a (dg/da) g^{-1} da: one product per parameter
     mc = [mat_mul(d, inv) for d in dg]
     coeff_rows = {(i, j): [m[i][j] for m in mc] for i, j in order}
-    chosen: list[tuple[int, int] | None] = [None] * g.r
-    taken: set[tuple[int, int]] = set()
-    for k in range(g.r):
-        unit = tuple(Fraction(1 if t == k else 0) for t in range(g.r))
-        for slot in order:
-            if slot not in taken and ident_rows[slot] == unit:
-                chosen[k] = slot
-                taken.add(slot)
-                break
-    unit_basis = None not in chosen
-    if not unit_basis:
-        # the identity unit rows are independent, so a slot is independent of
-        # the chosen ones exactly when it grows the rank of their echelon basis
-        basis = extend_echelon([], [coeff_rows[s] for s in chosen if s is not None])
-        for k in range(g.r):
-            if chosen[k] is not None:
-                continue
-            for slot in order:
-                if slot in taken:
-                    continue
-                grown = extend_echelon(basis, [coeff_rows[slot]])
-                if len(grown) > len(basis):
-                    chosen[k] = slot
-                    taken.add(slot)
-                    basis = grown
-                    break
-            if chosen[k] is None:
-                raise GroupError("fewer independent Maurer-Cartan entries than group parameters")
-
-    slots = [s for s in chosen if s is not None]
     alpha_coeffs = [coeff_rows[s] for s in slots]
+    constants = mat_mul([ident_rows[s] for s in order], mat_inverse([ident_rows[s] for s in slots]))
     F: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-    if unit_basis:
-        for slot in order:
-            if _combination(ctx, ident_rows[slot], alpha_coeffs) != coeff_rows[slot]:
-                raise GroupError(_NOT_CONSTANT.format(slot))
-            F[slot] = ident_rows[slot]
-        return MCBasis(g, slots, alpha_coeffs, coeff_rows, F, inv)
-
-    # Every entry w = f . alpha in the basis: F = W alpha^{-1}, checked exactly.
-    W = [coeff_rows[slot] for slot in order]
-    for slot, row in zip(order, mat_mul(W, mat_inverse(alpha_coeffs))):
-        fs = tuple(e.as_fraction() for e in row)
-        if None in fs:
+    for slot, fs in zip(order, map(tuple, constants)):
+        if _combination(ctx, fs, alpha_coeffs) != coeff_rows[slot]:
             raise GroupError(_NOT_CONSTANT.format(slot))
         F[slot] = fs
-    if any(_combination(ctx, F[slot], alpha_coeffs) != coeff_rows[slot] for slot in order):
-        raise GroupError("Maurer-Cartan reconstruction failed")
     return MCBasis(g, slots, alpha_coeffs, coeff_rows, F, inv)
 
 
@@ -293,39 +259,18 @@ def _combination(ctx: Context, fs: Sequence[Fraction], rows: list[list[Expr]]) -
     return out
 
 
-def check_closure(g: ParamGroup, rng: random.Random) -> tuple[bool, list[str]]:
-    """Sample pairs of elements and test that the product is in the group."""
-    notes: list[str] = []
-    eqs = g.membership_eqs
-    if eqs is None:
-        plan = recover_params(g)
-        if plan is None:
-            return False, ["no membership equations and parameter recovery failed"]
+def check_closure(g: ParamGroup):
+    """Prove that g(a) g(b) is in the group, for a second parameter set
+    _b1.._br: the symbolic product satisfies every given or derived membership
+    equation exactly.  Raises GroupError naming the first equation violated."""
+    eqs = membership_equations(g)
+    other = g.with_params(g.ctx.declare_symbols([f"_b{k + 1}" for k in range(g.r)], "group-parameter"))
+    prod = mat_mul(g.entries, other.entries)
     slots = slot_symbols(g.ctx, g.n)
-    elements = (m for _, m in generic_points(g.entries, rng, center=g.identity_values) if mat_det(m) != 0)
-    for t in range(_CLOSURE_SAMPLES):
-        ma, mb = next(elements, None), next(elements, None)
-        if mb is None:
-            raise GroupError("could not sample a generic group element")
-        prod = mat_mul(ma, mb)
-        binding = {slots[i][j]: prod[i][j] for i in range(g.n) for j in range(g.n)}
-        if eqs is not None:
-            for eq in eqs:
-                if eq.eval_at(binding) != 0:
-                    notes.append(f"sample {t}: product violates membership equation {eq}")
-                    return False, notes
-        else:
-            try:
-                rec = {s: plan[s].eval_at(binding) for s in g.params}
-            except ExprError as exc:
-                notes.append(f"sample {t}: parameter recovery failed numerically ({exc})")
-                return False, notes
-            back = g.at_numeric(rec)
-            if back != prod:
-                notes.append(f"sample {t}: product is outside the parametrized image")
-                return False, notes
-    notes.append(f"{_CLOSURE_SAMPLES} closure samples passed")
-    return True, notes
+    binding = {slots[i][j]: prod[i][j] for i in range(g.n) for j in range(g.n)}
+    for eq in eqs:
+        if not eq.subs(binding).is_zero():
+            raise GroupError(f"the product of two group elements violates membership equation {eq}")
 
 
 def recover_params(g: ParamGroup) -> dict[Symbol, Expr] | None:

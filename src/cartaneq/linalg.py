@@ -1,7 +1,8 @@
 """Exact linear algebra over the rational expression field.
 
 Matrices are plain lists of lists of Expr (or of Fraction, for values at
-the points :func:`generic_points` samples).  Every elimination in the package
+the points :func:`generic_points` samples and for a group's rows at its
+identity).  Every elimination in the package
 goes through one forward pass, :func:`echelon`, with two pivot rules: the
 first unused row with a nonzero entry, or the sparsest such row.  Callers
 take only the work they read:
@@ -192,12 +193,16 @@ def mat_det(m: Matrix) -> Entry:
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    """Exact inverse by reducing [M | I]; raises when singular as an Expr matrix."""
+    """Exact inverse by reducing [M | I], of Expr or Fraction entries; raises
+    when singular.  A 0 x 0 matrix is its own inverse."""
     n = len(m)
-    ident = identity_matrix(m[0][0].ctx, n)
+    if n == 0:
+        return []
+    zero = m[0][0] * 0  # the zero of the entry type
+    ident = [[zero + 1 if i == j else zero for j in range(n)] for i in range(n)]
     reduced, pivots, _ = eliminate([list(row) + unit for row, unit in zip(m, ident)], n)
     if len(pivots) < n:
-        raise SingularMatrixError("matrix is singular as an expression matrix")
+        raise SingularMatrixError("matrix is singular")
     inverse = [None] * n
     for r, c in pivots:
         inverse[c] = reduced[r][n:]

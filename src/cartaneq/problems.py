@@ -32,12 +32,11 @@ the kernel grammar:
     target 6fa3b1c0d2e4 = -1   # per-residual override, keyed by label
 
 Validation covers section arity, exact identity values, generic coframe
-invertibility and sampled group closure.
+invertibility and exact group closure.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from fractions import Fraction
 from itertools import product
@@ -249,18 +248,15 @@ def load_problem(path: str | Path) -> tuple[GStructureProblem, Policy]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from None
     problem, policy = parse_problem_text(text, title_default=path.stem)
-    validate_problem(problem, policy)
+    validate_problem(problem)
     return problem, policy
 
 
-def validate_problem(problem: GStructureProblem, policy: Policy):
+def validate_problem(problem: GStructureProblem):
     if problem.coframe.det().is_zero():
         raise ProblemFileError("validation failed: coframe determinant is identically zero")
     try:
         problem.group.validate()
+        check_closure(problem.group)
     except ExprError as exc:
         raise ProblemFileError(f"validation failed: {exc}") from None
-    if problem.group.r > 0:
-        ok, notes = check_closure(problem.group, random.Random(policy.seed))
-        if not ok:
-            raise ProblemFileError("validation failed: closure sampling: " + "; ".join(notes))

@@ -30,8 +30,8 @@ def corpus_problem(name: str):
 
 
 def problem_from_text(text: str):
-    problem, policy = parse_problem_text(text)
-    validate_problem(problem, policy)
+    problem, _ = parse_problem_text(text)
+    validate_problem(problem)
     return problem
 
 

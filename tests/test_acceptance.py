@@ -283,13 +283,13 @@ def test_criterion_5f_abelian_prolonged_group():
         g2 = prolonged_group(p, sol)
         v = {s: Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for s in g2.params}
         y = {s: Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for s in g2.params}
-        mv = g2.at_numeric(v)
-        my = g2.at_numeric(y)
+        mv = g2.at(v)
+        my = g2.at(y)
         prod = [
             [sum(mv[i][k] * my[k][j] for k in range(g2.n)) for j in range(g2.n)]
             for i in range(g2.n)
         ]
-        assert prod == g2.at_numeric({s: v[s] + y[s] for s in g2.params})
+        assert prod == g2.at({s: v[s] + y[s] for s in g2.params})
         count += 1
     assert count == 100
     print("\nACCEPTANCE 5f PASS: the block law of the prolonged group is parameter "

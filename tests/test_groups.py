@@ -1,11 +1,10 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from cartaneq import Context, engine, groups
 from cartaneq.engine import Policy, run_loop
-from cartaneq.exprs import ExprError
+from cartaneq.exprs import Expr, ExprError
 from cartaneq.groups import (
     GroupError,
     ParamGroup,
@@ -19,8 +18,9 @@ from cartaneq.groups import (
     solve_power_in,
 )
 from cartaneq.linalg import mat_inverse, mat_mul, symbolic_rank
+from cartaneq.problems import ProblemFileError, parse_problem_text
 
-from genutil import ScriptedRng, corpus_problem, drawn_problem, problem_from_text, recorded_calls
+from genutil import POWER_PROBLEM, corpus_problem, drawn_problem, problem_from_text, recorded_calls
 
 
 def diag_recip_group():
@@ -153,6 +153,17 @@ def test_right_mc_refuses_too_few_independent_entries():
         right_mc(g)
 
 
+def test_right_mc_refuses_a_group_singular_at_the_identity():
+    ctx = Context()
+    (a,) = ctx.declare_symbols(["a"], "group-parameter")
+    # dg = 3a^2 da vanishes at a = 0: the parameter is no coordinate at the
+    # identity, though dg g^-1 = 3a^2/(1 + a^3) da is a nonzero entry
+    g = ParamGroup(ctx, 1, (a,), [[1 + ctx.sym("a") ** 3]], {a: 0})
+    g.validate()
+    with pytest.raises(GroupError, match="^fewer independent Maurer-Cartan entries than group parameters$"):
+        right_mc(g)
+
+
 def _reference_mc(g):
     """Slots, alpha and F by the W alpha^-1 route: the entries of dg g^-1 at
     the identity for the unit slots, symbolic rank for the rest, and F the
@@ -218,11 +229,12 @@ def test_right_mc_agrees_with_the_inverse_route(monkeypatch):
             run_loop(problem, Policy(seed=0))
         except ExprError:
             pass  # the groups seen before the failure are still compared
-    # the Cayley transform of SO(2) has dg(e) = [[0, -2], [2, 0]]: no unit
-    # row at the identity, so alpha(e) != I and F comes from W alpha^-1
+    # the Cayley transform of SO(2) has dg(e) = [[0, -2], [2, 0]], and a^-2
+    # has dg(e) = -2: no unit row at the identity, so alpha(e) != I
     so2 = problem_from_text(SO2_CAYLEY).group
+    power = problem_from_text(POWER_PROBLEM).group
     assert len(seen) > len(problems) + 50
-    for g in seen + [so2]:
+    for g in seen + [so2, power]:
         mc = right_mc(g)
         slots, alpha, F = _reference_mc(g)
         assert mc.slots == slots
@@ -231,43 +243,78 @@ def test_right_mc_agrees_with_the_inverse_route(monkeypatch):
     mc = right_mc(so2)
     assert mc.slots == [(0, 1)] and mc.F[(1, 0)] == (-1,) and mc.F[(0, 0)] == (0,)
     assert mc.alpha_coeffs[0][0].subs({so2.params[0]: 0}) == -2
+    mc = right_mc(power)
+    assert mc.slots == [(0, 0)] and mc.F[(0, 0)] == (1,) and mc.F[(1, 1)] == (0,)
+    assert mc.alpha_coeffs[0][0] == power.ctx.parse("-2/a")
 
 
 def test_right_mc_of_a_unit_row_group_inverts_only_the_group(monkeypatch):
-    inversions = recorded_calls(monkeypatch, groups, "mat_inverse")
+    # the one Expr-matrix inversion is the group matrix; the other is the
+    # rational block alpha(e) = I
+    inversions = recorded_calls(monkeypatch, groups, "mat_inverse", lambda m: m)
     for g in (corpus_problem("lagrangian").group, drawn_problem(0).group):
         before = len(inversions)
         right_mc(g)
-        assert len(inversions) == before + 1
+        symbolic = [m for m in inversions[before:] if isinstance(m[0][0], Expr)]
+        rational = [m for m in inversions[before:] if not isinstance(m[0][0], Expr)]
+        assert symbolic == [g.entries]
+        assert rational == [[tuple(int(i == j) for j in range(g.r)) for i in range(g.r)]]
+
+
+NOT_A_GROUP = """\
+[coordinates]
+names = x, y
+[coframe]
+A 1 1 = 1
+A 1 2 = 0
+A 2 1 = 0
+A 2 2 = 1
+[group]
+params = c
+M 1 1 = 1 + c
+M 1 2 = 0
+M 2 1 = 0
+M 2 2 = 1 + c^2
+identity c = 0
+"""
 
 
 def test_check_closure():
-    ctx, g = diag_recip_group()
-    ok, _ = check_closure(g, random.Random(0))
-    assert ok
+    # valid groups: given or derived membership equations hold on the
+    # symbolic product g(a) g(b)
+    _, g = diag_recip_group()
+    check_closure(g)
+    ctx = Context()
+    (a,) = ctx.declare_symbols(["a"], "group-parameter")
+    check_closure(ParamGroup(ctx, 2, (a,), [[ctx.one, ctx.sym("a")], [ctx.zero, ctx.one]], {a: 0}))
+    for problem in (corpus_problem("lagrangian"), problem_from_text(SO2_CAYLEY), problem_from_text(POWER_PROBLEM)):
+        check_closure(problem.group)
 
-    ctx2 = Context()
-    (a,) = ctx2.declare_symbols(["a"], "group-parameter")
-    unip = ParamGroup(ctx2, 2, (a,), [[ctx2.one, ctx2.sym("a")], [ctx2.zero, ctx2.one]], {a: 0})
-    ok2, _ = check_closure(unip, random.Random(1))
-    assert ok2
-
-    lag = corpus_problem("lagrangian")
-    ok3, _ = check_closure(lag.group, random.Random(2))
-    assert ok3
-
-    # a parametrized set that is not a group fails the sampling
+    # a set without membership equations or a triangular recovery plan
     ctx3 = Context()
     (c,) = ctx3.declare_symbols(["c"], "group-parameter")
     bad = ParamGroup(ctx3, 2, (c,), [[1 + ctx3.sym("c") ** 2, ctx3.zero], [ctx3.zero, ctx3.one]], {c: 0})
-    ok4, notes = check_closure(bad, random.Random(3))
-    assert not ok4
-    # refused before any element is drawn
-    assert notes == ["no membership equations and parameter recovery failed"]
+    with pytest.raises(GroupError, match="^group has no membership equations and the parametrization is not "
+                       "recoverable by triangular elimination$"):
+        check_closure(bad)
 
-    # every sampled element a pole (a = 0 in 1/a): refused, not looped
-    with pytest.raises(GroupError, match="could not sample"):
-        check_closure(g, ScriptedRng(1))
+    # diag(1 + c, 1 + c^2) is not closed: the derived equation g22 = g11^2 -
+    # 2 g11 + 2 fails on the product, and so does the same equation given
+    violated = "^the product of two group elements violates membership equation g11\\^2 - 2\\*g11 - g22 \\+ 2$"
+    with pytest.raises(ProblemFileError, match=violated.replace("^", "^validation failed: ", 1)):
+        problem_from_text(NOT_A_GROUP)
+    text = NOT_A_GROUP + "[membership]\neq = g12\neq = g21\neq = g11^2 - 2*g11 - g22 + 2\n"
+    problem, _ = parse_problem_text(text)
+    assert problem.group.membership_eqs is not None
+    with pytest.raises(GroupError, match=violated):
+        check_closure(problem.group)
+
+    # a parameterless group takes the same route: I I = I must satisfy them
+    ctx4 = Context()
+    ((g11,),) = slot_symbols(ctx4, 1)
+    check_closure(ParamGroup(ctx4, 1, (), [[ctx4.one]], {}, [ctx4.expr(g11) - 1]))
+    with pytest.raises(GroupError, match="violates membership equation g11 - 2$"):
+        check_closure(ParamGroup(ctx4, 1, (), [[ctx4.one]], {}, [ctx4.expr(g11) - 2]))
 
 
 def test_recover_params_and_membership():

@@ -14,7 +14,8 @@ functions listed in ``FULL_ELIMINATION`` call the full Gauss-Jordan
 module.  Every ``def`` is entered by ``run --json``, ``characters``,
 ``crosscheck`` or ``check`` on the corpus and the benchmark's random draws,
 or is in ``NEVER_ENTERED`` with its reason.  Every parameter of a ``def`` or
-``lambda`` in the package is read in its body.
+``lambda`` in the package is read in its body.  The functions that take an
+``rng`` are exactly those in ``TAKES_RNG``.
 """
 
 import ast
@@ -380,3 +381,51 @@ def test_cold_code_guard(tmp_path):
         "listed but entered: planted.stale",
         "never entered and not listed: planted.cold",
     ]
+
+
+# Every def in the package with an ``rng`` parameter: the reach of the seeded
+# sampling that ROADMAP item 13 replaces by one deterministic decision.  A def
+# that gains an ``rng`` and a listed def that loses it both fail the guard, so
+# the list shrinks as item 13 proceeds.
+TAKES_RNG = {
+    "characters.tableau_points", "characters._direction_grid", "characters.reduced_characters",
+    "engine._parameter_rank", "engine.classify_torsion", "engine._choose_targets", "engine.cartan_characters",
+    "engine.loop_stages",
+    "jets.jet_characters", "jets._monitor_regularity", "jets.complete_to_involution", "jets.crosscheck_characters",
+    "linalg.generic_points",
+}
+
+
+def _rng_takers(paths: list[Path]) -> set[str]:
+    """``module.qualname`` of every def of ``paths`` with a parameter ``rng``."""
+    out = set()
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                if "rng" in {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}:
+                    out.add(prefix + child.name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
+
+    for path in paths:
+        walk(ast.parse(path.read_text(), str(path)), f"{path.stem}.")
+    return out
+
+
+def test_rng_reaches_only_the_listed_functions():
+    assert _rng_takers(sorted(PACKAGE.glob("*.py"))) == TAKES_RNG
+
+
+def test_rng_guard(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def draw(rng):\n    return rng\n"
+        "class C:\n    @staticmethod\n    def pick(items, *, rng=None):\n        return rng\n"
+        "def exact(points):\n    def inner(rng):\n        return rng\n    return inner\n"
+        "def fine(seed):\n    return seed\n"
+    )
+    assert _rng_takers([mod]) == {"mod.draw", "mod.C.pick", "mod.exact.inner"}

@@ -66,6 +66,18 @@ def test_inverse_singular(ctx):
     assert mat_det([[x, x], [x, x]]).is_zero()
 
 
+def test_inverse_of_rationals_and_of_the_empty_matrix():
+    F = Fraction
+    m = [[F(0), F(2)], [F(-2), F(1)]]
+    inv = mat_inverse(m)
+    assert inv == [[F(1, 4), F(-1, 2)], [F(1, 2), F(0)]]
+    assert all(type(e) is Fraction for row in inv for e in row)
+    assert mat_mul(m, inv) == [[1, 0], [0, 1]]
+    with pytest.raises(SingularMatrixError):
+        mat_inverse([[F(1), F(2)], [F(2), F(4)]])
+    assert mat_inverse([]) == []
+
+
 def test_symbolic_rank(ctx):
     x, y = ctx.sym("x"), ctx.sym("y")
     assert symbolic_rank([[x, y], [x * x, x * y]]) == 1

@@ -53,9 +53,9 @@ M 2 2 = 1
 """
     from cartaneq.problems import validate_problem
 
-    problem, policy = parse_problem_text(text)
+    problem, _ = parse_problem_text(text)
     with pytest.raises(ProblemFileError) as err:
-        validate_problem(problem, policy)
+        validate_problem(problem)
     assert "determinant" in str(err.value)
 
 
@@ -78,9 +78,9 @@ identity a = 2
 """
     from cartaneq.problems import validate_problem
 
-    problem, policy = parse_problem_text(text)
+    problem, _ = parse_problem_text(text)
     with pytest.raises(ProblemFileError):
-        validate_problem(problem, policy)
+        validate_problem(problem)
 
 
 def test_parse_errors_have_line_numbers():
@@ -335,7 +335,7 @@ def test_cli_crosscheck():
 
 
 def test_cli_crosscheck_detects_corrupted_membership(tmp_path):
-    # dropping the g22 = 1 membership equation keeps the sampled closure
+    # dropping the g22 = 1 membership equation keeps the closure
     # check happy (products do satisfy the remaining equations) but encodes
     # a larger pseudo-group, so the two routes disagree
     text = (PROBLEMS / "toy_diag.prob").read_text()
@@ -375,13 +375,14 @@ def test_report_schema_on_lagrangian():
 
 
 def test_corpus_run_outputs_match_benchmark_recording(tmp_path, monkeypatch, capsys):
-    # the requests of the corpus-run and random-mixed benchmarks, digested as
+    # the requests of all three benchmark workloads, digested as
     # perfbench/run.py does: a byte drift in a report, a characters table, a
     # crosscheck or an exit code fails here.  The random-mixed requests
     # recorded as failing are pinned in tests/test_jets.py.
     recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())
     monkeypatch.chdir(ROOT)
-    requests = [
+    requests = [("lagrangian-crosscheck", "crosscheck", Path("problems/lagrangian.prob"))]
+    requests += [
         ("corpus-run", command, path)
         for path in sorted(Path("problems").glob("*.prob"))
         for command in ("run", "characters")
@@ -390,6 +391,7 @@ def test_corpus_run_outputs_match_benchmark_recording(tmp_path, monkeypatch, cap
         path = tmp_path / f"draw-{draw:02d}.prob"
         path.write_text(genprob.random_problem_text(draw))
         requests += [("random-mixed", command, path) for command in ("run", "crosscheck")]
+    assert {workload for workload, _, _ in requests} == set(recorded)
     for workload, command, path in requests:
         want = recorded[workload][f"{command} {path.stem}"]
         if want["failure"] is not None:
