@@ -32,12 +32,18 @@ OUTCOME_CODES = {
 }
 
 
-def _cmd_run(args) -> int:
+def _load(args):
+    """The problem and policy of ``args.file``, with the command's --seed and --max-loops applied."""
     problem, policy = load_problem(args.file)
-    if args.max_loops is not None:
+    if getattr(args, "max_loops", None) is not None:
         policy.max_loops = args.max_loops
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         policy.seed = args.seed
+    return problem, policy
+
+
+def _cmd_run(args) -> int:
+    problem, policy = _load(args)
     t0 = time.time()
     result = run_loop(problem, policy)
     sys.stdout.write(render_text(result, elapsed=time.time() - t0))
@@ -47,9 +53,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_characters(args) -> int:
-    problem, policy = load_problem(args.file)
-    if args.seed is not None:
-        policy.seed = args.seed
+    problem, policy = _load(args)
     _, _, cls, chars = loop_stages(problem, random.Random(policy.seed))
     print(f"== {problem.title}: first-loop characters ==")
     print(f"s = {tuple(chars.s)}, r2 = {chars.r2}, Cartan test {'passes' if chars.involutive else 'fails'}")
@@ -60,9 +64,7 @@ def _cmd_characters(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    problem, policy = load_problem(args.file)
-    if args.seed is not None:
-        policy.seed = args.seed
+    problem, policy = _load(args)
     res = crosscheck_characters(problem, random.Random(policy.seed))
     print(f"== {problem.title}: equivalence-method loop vs jet-space loop ==")
     print(f"engine: r2 = {res.engine_r2}, s = {tuple(res.engine_s)}, conditions = {res.engine_conditions}")
@@ -72,7 +74,7 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    problem, policy = load_problem(args.file)
+    problem, policy = _load(args)
     print(f"{args.file}: valid problem")
     print(f"  chart dimension {problem.n}, structure group dimension {problem.group.r}")
     print(f"  policy: max_loops = {policy.max_loops}, seed = {policy.seed}")

@@ -52,7 +52,7 @@ class NonGenuineSystemError(JetError):
 
 
 class InconsistentSystemError(JetError):
-    """A condition reduced to a nonzero constant."""
+    """A condition whose numerator reduced to a nonzero constant."""
 
 
 MultiIndex = tuple
@@ -135,29 +135,20 @@ class JetSystem:
     order: int
 
     def __post_init__(self):
-        normalized: dict[tuple[int, MultiIndex], Expr] = {}
-        for (a, J), F in self.equations.items():
-            key = (a, tuple(J))
-            if key in normalized:
-                raise JetError(f"duplicate principal derivative {self._name(key)}")
-            normalized[key] = self.space.ctx.expr(F)
-        self.equations = normalized
+        self.equations = {key: self.space.ctx.expr(F) for key, F in self.equations.items()}
         self._resolve()
         max_order = max((sum(J) for (_, J) in self.equations), default=0)
         if self.order < max_order:
             raise JetError("declared order below the order of the equations")
 
-    def _name(self, key) -> str:
-        return str(self.space.jet(*key))
-
     def _resolve(self):
         """Re-reduce right sides until no principal derivative occurs in one."""
         for _ in range(len(self.equations) + 1):
-            subs = {self.space.jet(a, J): F for (a, J), F in self.equations.items()}
             changed = False
             for key, F in list(self.equations.items()):
-                if any(s in F.free_symbols for s in subs):
-                    self.equations[key] = F.subs(subs)
+                reduced = self.reduce(F)
+                if reduced is not F:
+                    self.equations[key] = reduced
                     changed = True
             if not changed:
                 return
@@ -187,7 +178,7 @@ class JetSystem:
         return out
 
     def pretty(self) -> list[str]:
-        return [f"{self._name(k)} = {F}" for k, F in sorted(self.equations.items())]
+        return [f"{self.space.jet(*k)} = {F}" for k, F in sorted(self.equations.items())]
 
 
 _COEFF_CLASS_CONSTANT = 0
@@ -207,19 +198,12 @@ def _coeff_class(coeff: Expr, space: JetSpace, units: Collection) -> int:
     return _COEFF_CLASS_OTHER
 
 
-def _solve_for_jet(
-    space: JetSpace,
-    e: Expr,
-    units: Collection,
-    max_order: int | None = None,
-) -> tuple[tuple[int, MultiIndex], Expr] | None:
+def _solve_for_jet(space: JetSpace, e: Expr, units: Collection) -> tuple[tuple[int, MultiIndex], Expr] | None:
     """Pick the best jet to solve e = 0 for: highest order first, then the
     lowest coefficient class, then creation order of the jet.  An ``e`` that
     the system has reduced holds no principal jet, so every candidate is new."""
     best = None
     for (a, J) in space.jets_in(e):
-        if max_order is not None and sum(J) > max_order:
-            continue
         sym = space.jet(a, J)
         sol = solve_linear_in(e, sym)
         if sol is None:
@@ -363,75 +347,69 @@ def prolong_system(R: JetSystem) -> ProlongedSystem:
 
 
 def _check_genuine(space: JetSpace, cond: Expr):
-    if cond.as_fraction() is not None and cond.as_fraction() != 0:
-        raise InconsistentSystemError("a condition reduced to a nonzero constant")
-    indep = set(space.independents)
-    if cond.free_symbols and cond.free_symbols <= indep:
+    """Refuse a nonzero condition by its numerator: a constant has no
+    solution, and one in the independents alone is not on the jets."""
+    num = cond.numerator()
+    if num.as_fraction() is not None:
+        raise InconsistentSystemError(f"condition {cond} has a nonzero constant numerator: no jet satisfies it")
+    if num.free_symbols <= set(space.independents):
         raise NonGenuineSystemError(
             f"integrability condition {cond} restricts the independent variables alone"
         )
 
 
-def _adjoin_conditions(R: JetSystem, conditions: Iterable[Expr]) -> tuple[JetSystem, list[Expr]]:
-    """Adjoin the conditions that are not already implied; returns the new
-    system and the surviving (independent) conditions."""
+def _adjoin_conditions(
+    R: JetSystem, conditions: Iterable[Expr], refusal: str, units: Collection = frozenset()
+) -> tuple[JetSystem, list[Expr]]:
+    """Adjoin, in turn, each condition that the system so far does not reduce
+    to zero, solved for its best jet; returns the new system and the adjoined
+    conditions, as reduced.  One with a jet above ``R.order`` is refused, and
+    one that no jet solves raises ``refusal`` with the condition in its ``{}``."""
     space = R.space
-    current = R
     new: list[Expr] = []
     for cond in conditions:
-        reduced = current.reduce(cond)
+        reduced = R.reduce(cond)
         if reduced.is_zero():
             continue
+        if any(sum(J) > R.order for (_, J) in space.jets_in(reduced)):
+            raise JetError(
+                "completion produced a jet above the declared order; "
+                "declare the system at a higher order"
+            )
         _check_genuine(space, reduced)
-        hit = _solve_for_jet(space, reduced, frozenset(), max_order=current.order)
+        hit = _solve_for_jet(space, reduced, units)
         if hit is None:
-            raise JetError(f"cannot solve integrability condition {reduced} for a jet")
-        current = current.adjoin(*hit)
+            raise JetError(refusal.format(reduced))
+        R = R.adjoin(*hit)
         new.append(reduced)
-    return current, new
+    return R, new
 
 
 def project_integrability(P: ProlongedSystem) -> tuple[list[Expr], JetSystem]:
     """Lower-order relations not implied by the base, adjoined to it."""
-    reduced_sys, new = _adjoin_conditions(P.base, P.conditions)
+    reduced_sys, new = _adjoin_conditions(P.base, P.conditions, "cannot solve integrability condition {} for a jet")
     if new:
         reduced_sys = complete_to_order(reduced_sys)
     return new, reduced_sys
 
 
 def complete_to_order(R: JetSystem) -> JetSystem:
-    """Prolong every equation of order < q to order q and intersect until
-    stable; the result is closed under prolongation of lower-order members."""
+    """Prolong every equation of order < q to order q and adjoin what the
+    system does not already imply, in passes, until a pass adjoins nothing;
+    the result is closed under prolongation of lower-order members.  A pass
+    that adjoins makes a new jet of order at most q principal, and those jets
+    are finitely many, so the passes end."""
     space = R.space
-    q = R.order
-    current = JetSystem(space, dict(R.equations), q)
-    for _ in range(200):
-        changed = False
-        for (a, K), F in sorted(current.equations.items()):
-            if sum(K) >= q:
-                continue
-            for i in range(space.n):
-                lhs = space.jet_expr(a, _shift(K, i))
-                cand = current.reduce(lhs - total_derivative(space, F, i))
-                if cand.is_zero():
-                    continue
-                if any(sum(J) > q for (_, J) in space.jets_in(cand)):
-                    raise JetError(
-                        "completion produced a jet above the declared order; "
-                        "declare the system at a higher order"
-                    )
-                _check_genuine(space, cand)
-                hit = _solve_for_jet(space, cand, frozenset(), max_order=q)
-                if hit is None:
-                    raise JetError(f"completion cannot solve {cand} for a jet")
-                current = current.adjoin(*hit)
-                changed = True
-                break
-            if changed:
-                break
-        if not changed:
-            return current
-    raise JetError("completion did not stabilize")
+    while True:
+        prolonged = [
+            space.jet_expr(a, _shift(K, i)) - total_derivative(space, F, i)
+            for (a, K), F in sorted(R.equations.items())
+            if sum(K) < R.order
+            for i in range(space.n)
+        ]
+        R, new = _adjoin_conditions(R, prolonged, "completion cannot solve {} for a jet")
+        if not new:
+            return R
 
 
 def jet_characters(P: ProlongedSystem, rng: random.Random) -> CharacterReport:
@@ -539,16 +517,9 @@ def encode_gstructure(p: GStructureProblem) -> JetSystem:
     det = p.coframe.det()
     units = {*det.atoms(), *det.subs(tmap).atoms()}
 
-    system = JetSystem(space, {}, 1)
-    for eq in eqs:
-        raw = system.reduce(eq.subs(binds))
-        if raw.is_zero():
-            continue
-        hit = _solve_for_jet(space, raw, units)
-        if hit is None:
-            raise JetError(f"cannot put membership equation {eq} into solved form")
-        system = system.adjoin(*hit)
-    return system
+    conditions = [eq.subs(binds) for eq in eqs]
+    refusal = "cannot put membership equation {} into solved form"
+    return _adjoin_conditions(JetSystem(space, {}, 1), conditions, refusal, units)[0]
 
 
 @dataclass

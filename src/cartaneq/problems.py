@@ -31,8 +31,10 @@ the kernel grammar:
     seed = 0
     target 6fa3b1c0d2e4 = -1   # per-residual override, keyed by label
 
-Validation covers section arity, exact identity values, generic coframe
-invertibility and exact group closure.
+An unknown section, and a key other than ``title`` in [metadata] or other
+than ``names`` in [coordinates], is refused.  Validation covers section
+arity, exact identity values, generic coframe invertibility and exact group
+closure.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from .forms import Chart, Coframe
 from .groups import ParamGroup, check_closure, slot_names, slot_symbols
 
 __all__ = ["ProblemFileError", "load_problem", "parse_problem_text"]
+
+SECTIONS = ("metadata", "coordinates", "opaque", "coframe", "group", "membership", "policy")
 
 
 class ProblemFileError(ExprError):
@@ -102,6 +106,8 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current not in SECTIONS:
+                raise ProblemFileError(f"unknown section [{current}]", lineno)
             sections.setdefault(current, [])
             continue
         if current is None:
@@ -120,18 +126,20 @@ def parse_problem_text(text: str, title_default: str = "") -> tuple[GStructurePr
     title = title_default
     for lineno, line in sections.get("metadata", []):
         key, _, value = line.partition("=")
-        if key.strip() == "title":
-            title = value.strip()
+        if key.strip() != "title":
+            raise ProblemFileError(f"unrecognized metadata line {line!r}", lineno)
+        title = value.strip()
 
     coords = None
     coord_names: list[str] = []
     declared: list[tuple[str, int]] = []  # every name the file declares, with its line
     for lineno, line in sections["coordinates"]:
         key, _, value = line.partition("=")
-        if key.strip() == "names":
-            coord_names = _split_names(value)
-            coords = ctx.declare_symbols(_declared(coord_names, coord_names, lineno), "coordinate")
-            declared += [(name, lineno) for name in coord_names]
+        if key.strip() != "names":
+            raise ProblemFileError(f"unrecognized coordinates line {line!r}", lineno)
+        coord_names = _split_names(value)
+        coords = ctx.declare_symbols(_declared(coord_names, coord_names, lineno), "coordinate")
+        declared += [(name, lineno) for name in coord_names]
     if not coords:
         raise ProblemFileError("section [coordinates] must declare 'names = ...'")
     n = len(coords)

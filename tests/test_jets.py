@@ -578,3 +578,22 @@ def test_inconsistent_condition():
     R = JetSystem(sp, {(0, (0, 0)): ctx.sym("x"), (0, (1, 0)): ctx.expr(2)}, 1)
     with pytest.raises(InconsistentSystemError):
         complete_to_order(R)
+
+
+def test_condition_with_a_constant_numerator_is_inconsistent():
+    # u = x forces u_x = 1, so u_x = 1 + 1/u_y leaves 1/u_y = 0, which no
+    # value of u_y satisfies
+    ctx, sp = one_dep_space()
+    sp.jet(0, (0, 1))  # declares u_y
+    R = JetSystem(sp, {(0, (0, 0)): ctx.sym("x"), (0, (1, 0)): ctx.parse("1 + 1/u_y")}, 1)
+    with pytest.raises(InconsistentSystemError, match=r"condition \(1\)/\(u_y\) has a nonzero constant numerator"):
+        complete_to_order(R)
+
+
+def test_completion_refuses_a_jet_above_the_declared_order():
+    # prolonging u = u_x gives u_x = u_xx, a second-order jet in a system
+    # declared at order 1
+    ctx, sp = one_dep_space()
+    R = JetSystem(sp, {(0, (0, 0)): sp.jet_expr(0, (1, 0))}, 1)
+    with pytest.raises(JetError, match="completion produced a jet above the declared order"):
+        complete_to_order(R)

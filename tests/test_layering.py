@@ -15,7 +15,8 @@ module.  Every ``def`` is entered by ``run --json``, ``characters``,
 ``crosscheck`` or ``check`` on the corpus and the benchmark's random draws,
 or is in ``NEVER_ENTERED`` with its reason.  Every parameter of a ``def`` or
 ``lambda`` in the package is read in its body.  The functions that take an
-``rng`` are exactly those in ``TAKES_RNG``.
+``rng`` are exactly those in ``TAKES_RNG``.  Only ``jets._adjoin_conditions``
+calls ``JetSystem.adjoin``.
 """
 
 import ast
@@ -294,7 +295,6 @@ NEVER_ENTERED = {
         ),
         COMPLETION,
     ),
-    "jets.JetSystem._name": "names the jet in the duplicate-principal-derivative error, which no encoded problem raises",
     **dict.fromkeys(("exprs.Expr.__rsub__", "exprs.Expr.__rtruediv__", "exprs.Expr.__hash__"), OPERATORS),
     **dict.fromkeys(
         ("exprs.Symbol.__repr__", "exprs.OpaqueFunc.__repr__", "exprs.OpaqueAtom.__repr__", "exprs.Expr.__repr__"),
@@ -429,3 +429,41 @@ def test_rng_guard(tmp_path):
         "def fine(seed):\n    return seed\n"
     )
     assert _rng_takers([mod]) == {"mod.draw", "mod.C.pick", "mod.exact.inner"}
+
+
+def _adjoin_callers(paths: list[Path]) -> set[str]:
+    """``module.qualname`` of the def around every call of a method
+    ``adjoin`` in ``paths`` (``module.<module>`` at the top level)."""
+    out = set()
+
+    def walk(node, where, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "adjoin":
+                out.add(where)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, prefix + child.name, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, where, f"{prefix}{child.name}.")
+            else:
+                walk(child, where, prefix)
+
+    for path in paths:
+        walk(ast.parse(path.read_text(), str(path)), f"{path.stem}.<module>", f"{path.stem}.")
+    return out
+
+
+def test_one_routine_adjoins_equations():
+    # the encoder, the projection and the completion adjoin an equation to a
+    # JetSystem through _adjoin_conditions, which reduces, checks and solves it
+    assert _adjoin_callers(sorted(PACKAGE.glob("*.py"))) == {"jets._adjoin_conditions"}
+
+
+def test_adjoin_guard(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def _adjoin_conditions(R, hit):\n    return R.adjoin(*hit)\n"
+        "class S:\n    def grow(self, key, F):\n        def inner():\n            return self.adjoin(key, F)\n"
+        "        return inner()\n"
+        "R = R.adjoin(key, F)\ndef fine(R):\n    return R.reduce(R)\n"
+    )
+    assert _adjoin_callers([mod]) == {"mod._adjoin_conditions", "mod.S.grow.inner", "mod.<module>"}

@@ -242,6 +242,28 @@ def test_a_key_given_twice_in_a_section_is_refused(first, again, tmp_path):
     assert main(["check", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "after, added, message",
+    [
+        ("seed = 0", "[polcy]\nmax_loops = 0", r"unknown section \[polcy\]"),
+        ("title = toy-diag", "author = someone", "unrecognized metadata line 'author = someone'"),
+        ("names = x, y", "coords = x, y", "unrecognized coordinates line 'coords = x, y'"),
+    ],
+    ids=["section", "metadata-key", "coordinates-key"],
+)
+def test_an_unknown_section_or_key_is_refused(after, added, message, tmp_path):
+    # dropping it silently would, say, run without a misspelt [policy] cap
+    lines = (PROBLEMS / "toy_diag.prob").read_text().splitlines()
+    at = lines.index(after) + 1
+    lines.insert(at, added)
+    path = tmp_path / "unknown.prob"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProblemFileError, match=message) as err:
+        parse_problem_text(path.read_text())
+    assert err.value.line == at + 1
+    assert main(["check", str(path)]) == 1
+
+
 @pytest.mark.parametrize("case", ["problem-is-a-directory", "problem-not-utf8", "json-to-a-directory"])
 def test_input_output_errors_are_one_error_line(case, tmp_path):
     # an operating-system or decoding error while reading the problem or
