@@ -33,11 +33,10 @@ OUTCOME_CODES = {
 
 
 def _load(args):
-    """The problem and policy of ``args.file``, with the command's --seed and --max-loops applied."""
     problem, policy = load_problem(args.file)
-    if getattr(args, "max_loops", None) is not None:
+    if args.max_loops is not None:
         policy.max_loops = args.max_loops
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         policy.seed = args.seed
     return problem, policy
 
@@ -74,7 +73,7 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    problem, policy = _load(args)
+    problem, policy = load_problem(args.file)
     print(f"{args.file}: valid problem")
     print(f"  chart dimension {problem.n}, structure group dimension {problem.group.r}")
     print(f"  policy: max_loops = {policy.max_loops}, seed = {policy.seed}")
@@ -98,12 +97,12 @@ def main(argv: list[str] | None = None) -> int:
     p_ch = sub.add_parser("characters", help="reduced Cartan characters of the first loop")
     p_ch.add_argument("file")
     p_ch.add_argument("--seed", type=int, default=None)
-    p_ch.set_defaults(func=_cmd_characters)
+    p_ch.set_defaults(func=_cmd_characters, max_loops=None)
 
     p_cc = sub.add_parser("crosscheck", help="compare the engine loop with the jet-space loop")
     p_cc.add_argument("file")
     p_cc.add_argument("--seed", type=int, default=None)
-    p_cc.set_defaults(func=_cmd_crosscheck)
+    p_cc.set_defaults(func=_cmd_crosscheck, max_loops=None)
 
     p_chk = sub.add_parser("check", help="parse and validate a problem file")
     p_chk.add_argument("file")

@@ -48,7 +48,7 @@ class JetError(ExprError):
 
 
 class NonGenuineSystemError(JetError):
-    """An integrability condition restricts the independent variables alone."""
+    """A condition restricts the independent variables alone."""
 
 
 class InconsistentSystemError(JetError):
@@ -353,9 +353,7 @@ def _check_genuine(space: JetSpace, cond: Expr):
     if num.as_fraction() is not None:
         raise InconsistentSystemError(f"condition {cond} has a nonzero constant numerator: no jet satisfies it")
     if num.free_symbols <= set(space.independents):
-        raise NonGenuineSystemError(
-            f"integrability condition {cond} restricts the independent variables alone"
-        )
+        raise NonGenuineSystemError(f"condition {cond} restricts the independent variables alone")
 
 
 def _adjoin_conditions(
@@ -373,7 +371,7 @@ def _adjoin_conditions(
             continue
         if any(sum(J) > R.order for (_, J) in space.jets_in(reduced)):
             raise JetError(
-                "completion produced a jet above the declared order; "
+                f"condition {reduced} holds a jet above the declared order {R.order}; "
                 "declare the system at a higher order"
             )
         _check_genuine(space, reduced)
@@ -394,21 +392,25 @@ def project_integrability(P: ProlongedSystem) -> tuple[list[Expr], JetSystem]:
 
 
 def complete_to_order(R: JetSystem) -> JetSystem:
-    """Prolong every equation of order < q to order q and adjoin what the
-    system does not already imply, in passes, until a pass adjoins nothing;
-    the result is closed under prolongation of lower-order members.  A pass
-    that adjoins makes a new jet of order at most q principal, and those jets
-    are finitely many, so the passes end."""
-    space = R.space
+    """Prolong every equation of order < q to order q and intersect until
+    stable: adjoin the first prolongation of the current system that it does
+    not already imply, and rescan, until a scan adjoins nothing.  The result
+    is closed under prolongation of lower-order members.  Each adjoin makes a
+    new jet of order at most q principal, and those jets are finitely many, so
+    the scans end."""
+    space, q = R.space, R.order
     while True:
-        prolonged = [
+        prolonged = (
             space.jet_expr(a, _shift(K, i)) - total_derivative(space, F, i)
             for (a, K), F in sorted(R.equations.items())
-            if sum(K) < R.order
+            if sum(K) < q
             for i in range(space.n)
-        ]
-        R, new = _adjoin_conditions(R, prolonged, "completion cannot solve {} for a jet")
-        if not new:
+        )
+        for cand in prolonged:
+            R, new = _adjoin_conditions(R, [cand], "completion cannot solve {} for a jet")
+            if new:
+                break
+        else:
             return R
 
 

@@ -20,7 +20,7 @@ ROOT = Path(__file__).parent.parent
 DIGESTS = {
     "demo_crosscheck.py": "09d54134513738a2fc64303ba96ec880c6703b02b3076857873d9f894ab8ff06",
     "demo_expression_kernel.py": "ecb15368f4c85d2beb80c8c64d810195826887808a4dd1c9e375f4ac6ba315e4",
-    "demo_jet_completion.py": "3697c6e20f1a1ee2b939a3f700b23d073931ba06bc6c72b6246fc9c9bafbd62f",
+    "demo_jet_completion.py": "6a9d67f0f834b09a7c7b0e35137d4717d9741db91e360664d404e760cf06d5e4",
     "demo_lagrangian_equivalence.py": "65c20f9a2ceed690454809ee3617a62cfbcdce885a3d4f573a7a0c29d9588703",
     "demo_structure_equations.py": "3ace2a1f428ccfb432fe70deb4b9889e297c0e57b62ac8adfbcacb8984fbfbf7",
 }

@@ -145,6 +145,18 @@ def test_complete_to_order_simple():
     assert again.equations == done.equations
 
 
+def test_completion_prolongs_the_system_as_each_adjoin_leaves_it():
+    # D_x(u = x) gives v_y = 1, which resolves v = y*v_y to v = y.  A candidate
+    # prolonged before that adjoin, D_x(v = y*v_y), holds v_xy above order 1,
+    # so each candidate must come from the current system
+    ctx = Context()
+    sp = JetSpace(ctx, ctx.declare_symbols(["x", "y"], "coordinate"), ctx.declare_symbols(["u", "v"], "jet-variable"))
+    v_y = sp.jet_expr(1, (0, 1))
+    R = JetSystem(sp, {(0, (0, 0)): ctx.sym("x"), (0, (1, 0)): v_y, (1, (0, 0)): ctx.sym("y") * v_y}, 1)
+    done = complete_to_order(R)
+    assert done.pretty() == ["u = x", "u_y = 0", "u_x = 1", "v = y", "v_y = 1", "v_x = 0"]
+
+
 def test_complete_to_order_paper_degenerate_example():
     # maps (x,y,u) -> (X,Y,U) pinned to first order with U = u + x U_x + y U_y
     # and every second-order jet zero; completion is stable at order 2
@@ -595,5 +607,5 @@ def test_completion_refuses_a_jet_above_the_declared_order():
     # declared at order 1
     ctx, sp = one_dep_space()
     R = JetSystem(sp, {(0, (0, 0)): sp.jet_expr(0, (1, 0))}, 1)
-    with pytest.raises(JetError, match="completion produced a jet above the declared order"):
+    with pytest.raises(JetError, match="condition u_x - u_xx holds a jet above the declared order 1"):
         complete_to_order(R)
