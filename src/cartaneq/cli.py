@@ -13,6 +13,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -80,7 +81,10 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The command-line parser and its ``run`` subparser, built once per
+    process: parsing reads them and never changes them."""
     parser = argparse.ArgumentParser(
         prog="cartaneq",
         description="Cartan's equivalence method for G-structures, with a jet-space cross-check",
@@ -107,7 +111,11 @@ def main(argv: list[str] | None = None) -> int:
     p_chk = sub.add_parser("check", help="parse and validate a problem file")
     p_chk.add_argument("file")
     p_chk.set_defaults(func=_cmd_check)
+    return parser, p_run
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser, p_run = _parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "max_loops", None) is not None and args.max_loops < 1:

@@ -1,24 +1,27 @@
 """Exact rational expression kernel.
 
 Every scalar in the package is an :class:`Expr`: a canonical fraction of
-multivariate polynomials with rational coefficients.  A coefficient is an
-``int`` when it is an integer and a ``fractions.Fraction`` only when its
-denominator is above 1, so integer work runs on C integer arithmetic.  It is
-never a float: coefficients are divided only through ``_qdiv``, never with a
-bare ``/``.  The indeterminates ("atoms") are either declared :class:`Symbol`
-objects or :class:`OpaqueAtom` applications of undetermined functions which
-carry an accumulated multi-index of partial derivatives (so mixed partials
-commute by construction).
+multivariate polynomials with integer coefficients, so polynomial work runs
+on C integer arithmetic.  ``Context.expr`` takes a ``fractions.Fraction``
+apart into two ints, and a Fraction is made only where a value is asked for:
+``as_fraction``, ``eval_at`` and ``Expr._monic``.  The indeterminates
+("atoms") are either declared :class:`Symbol` objects or :class:`OpaqueAtom`
+applications of undetermined functions which carry an accumulated
+multi-index of partial derivatives (so mixed partials commute by
+construction).
 
 Each atom owns a 16-bit exponent field of its Context, handed out in creation
 order, and a monomial is one ``int`` over those fields, so the product of two
 monomials is one integer addition.  An exponent is below 2**15.
 
-Canonical form: gcd(numerator, denominator) = 1 and the denominator is monic
-with respect to a fixed graded-lexicographic monomial order by atom
-``sort_key``.  Two Expr values are structurally equal iff they are equal as
-rational expressions, which makes ``is_zero`` (and hence all rank
-computations downstream) decidable.
+Canonical form: numerator and denominator are coprime integer polynomials
+whose coefficients together have gcd 1, and the denominator's leading
+coefficient is positive in a fixed graded-lexicographic monomial order by atom
+``sort_key`` (Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*,
+1992).  Two Expr values are structurally equal iff they are equal as rational
+expressions, which makes ``is_zero`` (and hence all rank computations
+downstream) decidable.  Dividing both by that leading coefficient gives the
+monic form, in which the printed form and ``_struct_key`` are written.
 """
 
 from __future__ import annotations
@@ -166,14 +169,12 @@ Scalar = Union[int, Fraction, "Expr"]
 # ExponentLimitError.  Integer order on monomials is a lex order, with the
 # atom made last the most significant; the kernel divides and stores terms
 # in it.  The canonical graded-lex order by atom sort_key, which str,
-# _struct_key and the monic denominator follow, is read through the
-# Context's rank table.  A polynomial is a dict monomial -> nonzero
-# coefficient: an int, or a Fraction with a denominator above 1.  Arithmetic
-# may leave an integral Fraction in a scratch Poly; Expr._make stores it as
-# its int.
+# _struct_key and the sign of the denominator follow, is read through the
+# Context's rank table.  A polynomial is a dict monomial -> nonzero int
+# coefficient.
 Mono = int
 Poly = dict
-Coeff = Union[int, Fraction]
+Coeff = int
 
 _FIELDS = 1 << 12  # exponent fields, and so atoms, of one Context
 _LIMIT = 1 << 15  # the least exponent that reaches a guard bit
@@ -230,25 +231,6 @@ _ZERO = 0
 _ONE = 1
 
 
-def _coeff(q: Coeff) -> Coeff:
-    """The rational q as a coefficient: an int when it is integral."""
-    return q.numerator if q.denominator == 1 else q
-
-
-def _qdiv(a: Coeff, b: Coeff) -> Coeff:
-    """The exact quotient a / b of two coefficients (a bare ``/`` of two
-    ints is a float)."""
-    return _coeff(Fraction(a, b))
-
-
-def _pnormal(p: Poly) -> Poly:
-    """p with each integral Fraction coefficient stored as its int."""
-    for c in p.values():
-        if type(c) is not int:
-            return {m: _coeff(c) for m, c in p.items()}
-    return p
-
-
 def _padd(p: Poly, q: Poly) -> Poly:
     out = dict(p)
     for m, c in q.items():
@@ -275,12 +257,6 @@ def _paddmul(acc: Poly, p: Poly, m: Mono, c: Coeff) -> None:
 
 def _pneg(p: Poly) -> Poly:
     return {m: -c for m, c in p.items()}
-
-
-def _pscale(p: Poly, c: Coeff) -> Poly:
-    if not c:
-        return {}
-    return {m: cc * c for m, cc in p.items()}
 
 
 def _pmul(p: Poly, q: Poly) -> Poly:
@@ -617,13 +593,11 @@ def _pgcd(f: dict, g: dict) -> dict:
 
 
 def _zz_form(p: Poly) -> tuple[dict, Mono, Coeff]:
-    """(P, m, r) with p = r * m * P: P an integer polynomial, primitive and
-    free of monomial content."""
-    den = math.lcm(*(c.denominator for c in p.values()))
-    ints = [c.numerator * (den // c.denominator) for c in p.values()]
-    cont = math.gcd(*ints)
+    """(P, m, r) with p = r * m * P: P primitive and free of monomial
+    content, r > 0."""
+    cont = math.gcd(*p.values())
     low = _pmono_content(p)
-    return {m - low: c // cont for m, c in zip(p, ints)}, low, _qdiv(cont, den)
+    return {m - low: c // cont for m, c in p.items()}, low, cont
 
 
 def _from_dense(exps: Iterable[Mono], coeffs: Iterable[Coeff], shift: Mono) -> Poly:
@@ -650,7 +624,7 @@ def _gcd_cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     monomial gcd.  So do sides where one has a coefficient of one term in
     the atoms the other lacks: g divides the other side, so it is free of
     those atoms and divides each such coefficient, a monomial.  Otherwise it
-    strips each side's rational and monomial content and takes the integer
+    strips each side's integer and monomial content and takes the integer
     gcd ``_zz_gcd`` of what is left.  When g is a constant the cofactors
     are p and q themselves; otherwise they are new Polys in descending
     order."""
@@ -683,16 +657,16 @@ def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     return p, q
 
 
-Fractional = tuple  # (num, den) pair of Polys; den is monic
+Fractional = tuple  # (num, den) pair of Polys
 
 
 def _fraction_sum(terms: Sequence[tuple[Poly, Sequence[tuple[Fractional, int]]]]) -> Fractional:
     """The sum over ``terms`` of ``p * prod((num/den)**k)``, as one unreduced
     (num, den) pair.
 
-    The denominator is each distinct non-constant denominator raised to the
+    The denominator is each distinct denominator other than 1 raised to the
     highest power any one term needs, so the caller canonicalizes the result
-    once.  Denominators are monic, so a constant one is 1."""
+    once."""
     dens: dict[frozenset, Poly] = {}
     key_of: dict[int, frozenset] = {}
     need: dict[frozenset, int] = {}
@@ -700,7 +674,7 @@ def _fraction_sum(terms: Sequence[tuple[Poly, Sequence[tuple[Fractional, int]]]]
     for _, factors in terms:
         mine: dict[frozenset, int] = {}
         for (_, den), k in factors:
-            if _pconst(den) is not None:
+            if _pconst(den) == 1:
                 continue
             key = key_of.get(id(den))
             if key is None:
@@ -890,8 +864,9 @@ class Context:
                 raise ExprError("expression belongs to a different context")
             return value
         if isinstance(value, (int, Fraction)):
-            f = _coeff(value)
-            return Expr(self, {0: f} if f else {}, {0: _ONE})
+            if not value:
+                return self.zero
+            return Expr(self, {0: value.numerator}, {0: value.denominator})
         if isinstance(value, Symbol):
             return Expr.from_atom(self, value)
         if isinstance(value, OpaqueAtom):
@@ -930,16 +905,22 @@ class Expr:
 
     @staticmethod
     def _reduced(ctx: Context, num: Poly, den: Poly) -> "Expr":
-        """num / den for coprime num and nonzero den: the denominator made
-        monic, no gcd taken."""
+        """num / den for num and nonzero den coprime as polynomials: their
+        joint integer content divided out and the denominator's leading
+        coefficient made positive, no polynomial gcd taken."""
         if not num:
             return ctx.zero
-        lc = next(iter(den.values())) if len(den) == 1 else ctx._lead(den)[1]
-        if lc != 1:
-            inv = _qdiv(1, lc)
-            num = _pscale(num, inv)
-            den = _pscale(den, inv)
-        return Expr(ctx, _pnormal(num), _pnormal(den))
+        if _pconst(den) == 1:
+            return Expr(ctx, num, den)
+        g = math.gcd(*den.values())
+        if g != 1:
+            g = math.gcd(g, *num.values())
+        if ctx._lead(den)[1] < 0:
+            g = -g
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den = {m: c // g for m, c in den.items()}
+        return Expr(ctx, num, den)
 
     @staticmethod
     def from_atom(ctx: Context, atom: Atom) -> "Expr":
@@ -957,7 +938,7 @@ class Expr:
                     for m, c in ctx._sorted_terms(p)
                 )
 
-            self._skey = (pk(self._num), pk(self._den))
+            self._skey = tuple(map(pk, self._monic()))
         return self._skey
 
     @property
@@ -997,15 +978,29 @@ class Expr:
             return None
         return Fraction(nc, dc)
 
+    def _monic(self) -> tuple[dict, dict]:
+        """Numerator and denominator divided by the denominator's leading
+        coefficient: the form that printing and ``_struct_key`` write, with a
+        Fraction wherever that quotient is not an integer."""
+        num, den = self._num, self._den
+        lc = self.ctx._lead(den)[1]
+        if lc == 1:
+            return num, den
+        return {m: Fraction(c, lc) for m, c in num.items()}, {m: Fraction(c, lc) for m, c in den.items()}
+
     # -- polynomial views ---------------------------------------------------
 
     def _poly(self, poly: Poly) -> "Expr":
-        return Expr(self.ctx, poly, {0: _ONE})
+        """``poly``, a part of the numerator or denominator, divided by the
+        denominator's leading coefficient: a part of the monic form."""
+        return Expr._reduced(self.ctx, poly, {0: self.ctx._lead(self._den)[1]})
 
     def numerator(self) -> "Expr":
+        """The numerator of the monic form."""
         return self._poly(self._num)
 
     def denominator(self) -> "Expr":
+        """The monic denominator."""
         return self._poly(self._den)
 
     def size(self) -> int:
@@ -1019,11 +1014,13 @@ class Expr:
         return 1 if self.ctx._lead(self._num)[1] > 0 else -1
 
     def coefficients(self, atom: Atom) -> dict[int, "Expr"]:
-        """The numerator as a polynomial in ``atom``: degree -> coefficient."""
+        """The monic form's numerator as a polynomial in ``atom``: degree ->
+        coefficient."""
         return {d: self._poly(c) for d, c in _as_univar(self._num, atom._shift).items()}
 
     def linear_in(self, atoms: Sequence[Atom]) -> tuple[list["Expr"], "Expr"] | None:
-        """Split the numerator as sum(coeffs[i] * atoms[i]) + rest in one pass.
+        """Split the monic form's numerator as sum(coeffs[i] * atoms[i]) + rest
+        in one pass.
 
         Returns (coeffs, rest) with polynomial entries, or None when the
         numerator is not affine in ``atoms``."""
@@ -1060,11 +1057,14 @@ class Expr:
         if b == d:
             return Expr._make(self.ctx, _padd(a, c), b)
         # a/b and c/d are canonical, so only a factor of gcd(b, d) can cancel
-        # (Henrici; Knuth, TAOCP vol. 2, 4.5.1)
-        if _pconst(b) is not None:
+        # (Henrici; Knuth, TAOCP vol. 2, 4.5.1); a constant one is a unit
+        kb, kd = _pconst(b), _pconst(d)
+        if kb == 1:
             return Expr._reduced(self.ctx, _padd(_pmul(a, d), c), d)
-        if _pconst(d) is not None:
+        if kd == 1:
             return Expr._reduced(self.ctx, _padd(a, _pmul(c, b)), b)
+        if kb is not None or kd is not None:
+            return Expr._reduced(self.ctx, _padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
         g, b1, d1 = _gcd_cofactors(b, d)
         t = _padd(_pmul(a, d1), _pmul(c, b1))
         if _pconst(g) is None and _pconst(t) is None:
@@ -1261,7 +1261,7 @@ class Expr:
             except KeyError:
                 raise UnboundAtomError(f"no binding for {atom}") from None
 
-        def eval_poly(poly: Poly) -> Coeff:
+        def eval_poly(poly: Poly) -> Fraction | int:
             total = _ZERO
             for m, c in poly.items():
                 while m:  # the highest field first
@@ -1300,10 +1300,10 @@ class Expr:
         return out
 
     def __str__(self):
-        num = self._poly_str(self._num)
-        if _pconst(self._den) is not None:
-            return num
-        return f"({num})/({self._poly_str(self._den)})"
+        num, den = self._monic()
+        if _pconst(den) is not None:
+            return self._poly_str(num)
+        return f"({self._poly_str(num)})/({self._poly_str(den)})"
 
     def __repr__(self):
         return f"Expr({self})"

@@ -10,7 +10,7 @@ not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -119,6 +119,8 @@ class ParamGroup:
     entries: list[list[Expr]]
     identity_values: dict[Symbol, Fraction]
     membership_eqs: list[Expr] | None = None
+    # the equations derive_membership found, kept for the next caller
+    _derived: list[Expr] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.params = tuple(self.params)
@@ -323,10 +325,11 @@ def membership_equations(g: ParamGroup) -> list[Expr]:
     """Given or derived membership equations; raises when unavailable."""
     if g.membership_eqs is not None:
         return g.membership_eqs
-    eqs = derive_membership(g)
-    if eqs is None:
-        raise GroupError(
-            "group has no membership equations and the parametrization is not "
-            "recoverable by triangular elimination"
-        )
-    return eqs
+    if g._derived is None:
+        g._derived = derive_membership(g)
+        if g._derived is None:
+            raise GroupError(
+                "group has no membership equations and the parametrization is not "
+                "recoverable by triangular elimination"
+            )
+    return g._derived

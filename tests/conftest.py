@@ -7,6 +7,7 @@ import pytest
 TESTS = Path(__file__).parent
 sys.path[:0] = [str(TESTS), str(TESTS.parent / "perfbench")]
 
+import cartaneq.cli  # noqa: E402
 from genutil import MALFORMED_PROBLEM, POWER_PROBLEM, cli_outputs, entered_code  # noqa: E402
 
 
@@ -16,4 +17,7 @@ def command_sweep(tmp_path_factory) -> tuple[set, dict]:
     and the two extra inputs, run once: the code objects it entered and its
     outputs."""
     directory = tmp_path_factory.mktemp("sweep")
+    # a one-shot process builds the parser, which an earlier test may have
+    # left cached in this one
+    cartaneq.cli._parser.cache_clear()
     return entered_code(lambda: cli_outputs(directory, [POWER_PROBLEM, MALFORMED_PROBLEM]))

@@ -243,9 +243,20 @@ def test_gcd_on_squares(ctx):
 
 
 def test_denominator_is_monic(ctx):
-    e = ctx.parse("1/(2*x - 2)")
-    assert str(e) == "(1/2)/(x - 1)"
-    assert ctx.parse(str(e)) == e
+    # stored as integer polynomials, printed with the denominator made monic;
+    # each text -> its form, d/dx, d/dy and y -> x/3 + 1/2
+    x, y = ctx.get_symbol("x"), ctx.get_symbol("y")
+    for text, want in [
+        ("1/(2*x - 2)", ["(1/2)/(x - 1)", "(-1/2)/(x^2 - 2*x + 1)", "0", "(1/2)/(x - 1)"]),
+        ("x/(2*y + 1)", ["(1/2*x)/(y + 1/2)", "(1/2)/(y + 1/2)", "(-1/2*x)/(y^2 + y + 1/4)", "(3/2*x)/(x + 3)"]),
+        ("x/2", ["1/2*x", "1/2", "0", "1/2*x"]),
+        ("1/(-2*x)", ["(-1/2)/(x)", "(1/2)/(x^2)", "0", "(-1/2)/(x)"]),
+        ("f(x/2, y)/(3*y)", ["(1/3*f(1/2*x, y))/(y)", "(1/6*f_x(1/2*x, y))/(y)",
+                             "(1/3*y*f_y(1/2*x, y) - 1/3*f(1/2*x, y))/(y^2)", "(f(1/2*x, 1/3*x + 1/2))/(x + 3/2)"]),
+    ]:
+        e = ctx.parse(text)
+        assert [str(e), str(e.diff(x)), str(e.diff(y)), str(e.subs({y: ctx.parse("x/3 + 1/2")}))] == want
+        assert ctx.parse(str(e)) == e
 
 
 def test_algebraic_identities_randomized(ctx):
@@ -321,7 +332,7 @@ def _ints(p):
 def _monic(p):
     """p scaled to the coefficient 1 at its largest monomial."""
     c = p[max(p)]
-    return {m: exprs._qdiv(v, c) for m, v in p.items()}
+    return {m: Fraction(v, c) for m, v in p.items()}
 
 
 def _no_heuristic(mp):
@@ -561,7 +572,7 @@ def test_make_orders_terms_as_exact_division_does(ctx):
     # then x) is the most significant.  No output depends on it: sampled points bind atoms in
     # sort-key order, and tests/test_problems_cli.py permutes term order.
     def poly(*terms):
-        return {ctx.parse(t)._num.popitem()[0]: Fraction(c) for t, c in terms}
+        return {ctx.parse(t)._num.popitem()[0]: c for t, c in terms}
 
     def descending(p):
         keys = list(p)
@@ -842,7 +853,10 @@ def test_operators_agree_with_the_full_product_route(gcd, op, shared, left, righ
     assert got == want
     assert (str(got), hash(got)) == (str(want), hash(want))
     assert not got._num or exprs._pconst(_prs_gcd(got._num, got._den)) is not None
-    assert ctx._lead(got._den)[1] == 1
+    # integer coefficients with joint content 1 and a positive leading
+    # denominator coefficient: the one representative of got
+    coeffs = [*got._num.values(), *got._den.values()]
+    assert all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1 and ctx._lead(got._den)[1] > 0
 
 
 # A step of a random computation in x, y and f(x, y): an operation, two
@@ -887,7 +901,7 @@ def test_coefficients_are_ints_or_fractions_with_a_denominator(gcd, steps):
         inner = [arg for atom in _all_atoms(e) if isinstance(atom, exprs.OpaqueAtom) for arg in atom.args]
         for part in [e, *inner]:
             for coeff in [*part._num.values(), *part._den.values()]:
-                assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1), (e, coeff)
+                assert type(coeff) is int, (e, coeff)
         value = e.as_fraction()
         assert value is None or type(value) is Fraction
         for point in ({a: n + 2 for n, a in enumerate(e.atoms())}, {a: Fraction(n + 2, 3) for n, a in enumerate(e.atoms())}):

@@ -11,6 +11,7 @@ from cartaneq.groups import (
     check_closure,
     derive_membership,
     group_inverse,
+    membership_equations,
     recover_params,
     right_mc,
     slot_symbols,
@@ -317,7 +318,7 @@ def test_check_closure():
         check_closure(ParamGroup(ctx4, 1, (), [[ctx4.one]], {}, [ctx4.expr(g11) - 2]))
 
 
-def test_recover_params_and_membership():
+def test_recover_params_and_membership(monkeypatch):
     lag = corpus_problem("lagrangian")
     ctx = lag.ctx
     plan = recover_params(lag.group)
@@ -327,6 +328,12 @@ def test_recover_params_and_membership():
     mem = derive_membership(lag.group)
     printed = sorted(str(e) for e in mem)
     assert printed == ["g21", "g22*g33 - 1", "g23", "g31"]
+    # validation derived them once (check_closure); later callers, such as
+    # the encoder of crosscheck, get the same list without a new derivation
+    derived = recorded_calls(monkeypatch, groups, "derive_membership")
+    eqs = membership_equations(lag.group)
+    assert sorted(str(e) for e in eqs) == printed and membership_equations(lag.group) is eqs
+    assert derived == []
 
 
 def test_solve_linear_in_refuses_the_atom_inside_an_opaque_argument():

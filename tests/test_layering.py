@@ -16,7 +16,8 @@ module.  Every ``def`` is entered by ``run --json``, ``characters``,
 or is in ``NEVER_ENTERED`` with its reason.  Every parameter of a ``def`` or
 ``lambda`` in the package is read in its body.  The functions that take an
 ``rng`` are exactly those in ``TAKES_RNG``.  Only ``jets._adjoin_conditions``
-calls ``JetSystem.adjoin``.
+calls ``JetSystem.adjoin``.  Only the defs in ``MAKE_FRACTIONS`` make a
+``Fraction`` in ``exprs.py``.
 """
 
 import ast
@@ -431,14 +432,15 @@ def test_rng_guard(tmp_path):
     assert _rng_takers([mod]) == {"mod.draw", "mod.C.pick", "mod.exact.inner"}
 
 
-def _adjoin_callers(paths: list[Path]) -> set[str]:
-    """``module.qualname`` of the def around every call of a method
-    ``adjoin`` in ``paths`` (``module.<module>`` at the top level)."""
+def _callers(paths: list[Path], names: set[str]) -> set[str]:
+    """``module.qualname`` of the def around every call of a function or
+    method named in ``names`` in ``paths`` (``module.<module>`` at the top
+    level)."""
     out = set()
 
     def walk(node, where, prefix):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "adjoin":
+            if isinstance(child, ast.Call) and {getattr(child.func, "attr", None), getattr(child.func, "id", None)} & names:
                 out.add(where)
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 walk(child, prefix + child.name, f"{prefix}{child.name}.")
@@ -455,7 +457,7 @@ def _adjoin_callers(paths: list[Path]) -> set[str]:
 def test_one_routine_adjoins_equations():
     # the encoder, the projection and the completion adjoin an equation to a
     # JetSystem through _adjoin_conditions, which reduces, checks and solves it
-    assert _adjoin_callers(sorted(PACKAGE.glob("*.py"))) == {"jets._adjoin_conditions"}
+    assert _callers(sorted(PACKAGE.glob("*.py")), {"adjoin"}) == {"jets._adjoin_conditions"}
 
 
 def test_adjoin_guard(tmp_path):
@@ -466,4 +468,27 @@ def test_adjoin_guard(tmp_path):
         "        return inner()\n"
         "R = R.adjoin(key, F)\ndef fine(R):\n    return R.reduce(R)\n"
     )
-    assert _adjoin_callers([mod]) == {"mod._adjoin_conditions", "mod.S.grow.inner", "mod.<module>"}
+    assert _callers([mod], {"adjoin"}) == {"mod._adjoin_conditions", "mod.S.grow.inner", "mod.<module>"}
+
+
+# The defs of exprs.py that make a Fraction: the values a caller asks for and
+# the monic form that printing and struct keys write.  A stored coefficient is
+# an int, and a stray rational one would break structural equality without an
+# error.  ``Context.expr`` takes a given Fraction apart into two ints.
+MAKE_FRACTIONS = {"exprs.Expr._monic", "exprs.Expr.as_fraction", "exprs.Expr.eval_at"}
+
+
+def test_fractions_are_made_only_at_the_value_boundary():
+    assert _callers([PACKAGE / "exprs.py"], {"Fraction"}) == MAKE_FRACTIONS
+
+
+def test_fraction_guard(tmp_path):
+    mod = tmp_path / "exprs.py"
+    mod.write_text(
+        "from fractions import Fraction\nimport fractions\n"
+        "class Expr:\n    def as_fraction(self):\n        return Fraction(1, 2)\n"
+        "    def derive(self):\n        def image(a):\n            return Fraction(a, 2)\n        return image\n"
+        "def _qdiv(a, b):\n    return fractions.Fraction(a, b)\n"
+        "def fine(q):\n    return isinstance(q, Fraction)\n"
+    )
+    assert _callers([mod], {"Fraction"}) == {"exprs.Expr.as_fraction", "exprs.Expr.derive.image", "exprs._qdiv"}

@@ -192,9 +192,18 @@ def test_cli_run_exit_codes(tmp_path):
 def test_usage_errors_exit_1_not_the_violation_code(capsys):
     # argparse exits 2 on a usage error, the code of a constant-type violation
     toy = str(PROBLEMS / "toy_diag.prob")
-    for argv in (["run"], ["frobnicate"], ["run", toy, "--max-loops", "abc"]):
+    want = {
+        "run": "cartaneq run: error: the following arguments are required: file",
+        "frobnicate": "cartaneq: error: argument command: invalid choice: 'frobnicate' "
+                      "(choose from 'run', 'characters', 'crosscheck', 'check')",
+        "abc": "cartaneq run: error: argument --max-loops: invalid int value: 'abc'",
+        "0": "cartaneq run: error: argument --max-loops: must be at least 1, got 0",
+    }
+    # twice: main builds its parser once per process and reuses it
+    for argv in [["run"], ["frobnicate"], ["run", toy, "--max-loops", "abc"], ["run", toy, "--max-loops", "0"]] * 2:
         assert main(argv) == 1, argv
-        assert capsys.readouterr().err.count("error:") == 1, argv
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.splitlines()[-1] == want[argv[-1]], argv
     assert main(["--help"]) == 0
 
 
